@@ -219,14 +219,16 @@ class CosimResult:
         )
 
 
-def _pump_routes_interp(routes, now: float) -> bool:
+def _pump_routes_interp(routes, now: float, occupancy_of=None) -> bool:
     """Reference (interpreted) transport pump over a route list.
 
     Per-synchronizer bookkeeping, marshaling and draining one element at a
     time through the plain marshal functions (the semantic oracle the
     compiled closures' layout-compiled encoders are tested against).
     Shared by the whole-fabric lockstep path and the per-group sub-fabrics,
-    which pass their projected route subsets.
+    which pass their projected route subsets.  ``occupancy_of`` replaces
+    the consumer-endpoint occupancy read, as in the lowered pumps (a
+    distributed member passes one route and its published occupancy cell).
     """
     progress = False
     for sync, vc, producer_engine, producer_store, consumer_store, direction, sw_producer in routes:
@@ -237,7 +239,10 @@ def _pump_routes_interp(routes, now: float) -> bool:
             # endpoint; draining it now would be clobbered by that commit.
             continue
         while producer_store[sync.data]:
-            consumer_occupancy = len(consumer_store[sync.data])
+            if occupancy_of is None:
+                consumer_occupancy = len(consumer_store[sync.data])
+            else:
+                consumer_occupancy = occupancy_of()
             if consumer_occupancy + vc.in_flight >= sync.depth:
                 vc.note_credit_stall()
                 break

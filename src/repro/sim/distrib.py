@@ -16,9 +16,10 @@ group may run "in a different process".  This module takes that literally:
 * **Data plane.**  A cut link whose producer and consumer land in
   different member processes is carried as the *actual framed wire words*
   the generated transactors speak: the producer's transport pump runs
-  unmodified (its credit window reads the consumer's published occupancy
-  instead of the in-process endpoint -- see
-  :func:`repro.core.compile.compile_transport_pump`'s ``occupancy_of``),
+  unmodified, in the member's own transport tier (its credit window
+  reads the consumer's published occupancy instead of the in-process
+  endpoint -- the ``occupancy_of`` hook every tier's pump takes, e.g.
+  :func:`repro.core.pycodegen.generate_transport_pump`),
   its link replica's :class:`~repro.platform.channel.MessagePool` fills
   with ``MessageLayout``-packed words, and a *carrier* moves each framed
   record -- ``(due, header word, payload words)`` -- into the consumer
@@ -33,6 +34,11 @@ group may run "in a different process".  This module takes that literally:
   ``carrier="socket"`` streams the same records over pre-forked
   ``socketpair`` byte streams.  Credit/occupancy counters and the lockstep
   barriers always live in the shared arena.
+
+* **Lockstep.**  Members meet at two barriers per iteration and each
+  replays the serial loop's continue/stop/budget decision from the same
+  published cells; a waiting member yields its CPU between polls and
+  sleeps only after about a millisecond (see ``_YIELD_SECONDS``).
 
 * **Equivalence.**  Workers re-elaborate the design from a picklable
   builder spec (elaboration is deterministic; an elaborated fabric cannot
@@ -50,6 +56,7 @@ under "Distributed co-simulation".
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import socket
@@ -61,6 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.compile import compile_transport_pump
 from repro.core.errors import SimulationError
+from repro.core.pycodegen import generate_transport_pump
 from repro.platform.marshal import unframe_header
 from repro.sim.cosim import (
     CosimFabric,
@@ -79,8 +87,14 @@ __all__ = [
 
 _NAN = float("nan")
 
-#: Leader decisions broadcast through the control block each iteration.
-_CONTINUE, _STOP, _BUDGET = 1, 2, 3
+#: Wait policy of a lockstep member blocked at a barrier: poll the peer's
+#: arrival cell, giving the CPU away with ``os.sched_yield()`` between
+#: polls, and once ``_YIELD_SECONDS`` have passed sleep ``_SLEEP_SECONDS``
+#: between polls.  Only that slow path checks the barrier deadline.  The
+#: fast path never sleeps: timer slack stretches a 20 us ``time.sleep`` to
+#: ~80 us on Linux.
+_YIELD_SECONDS = 0.001
+_SLEEP_SECONDS = 0.0002
 
 #: Ring header slots (head, tail) preceding the data area.
 _RING_DATA = 2
@@ -315,15 +329,15 @@ class _GroupPlan:
     * per member ``m``: ``arrive_a[m]``, ``arrive_b[m]`` (barrier
       generation counters), ``progress[m]`` and ``next_time[m]`` (the
       member's published per-iteration loop inputs);
-    * the leader's broadcast: ``release`` (generation), ``decision``
-      (CONTINUE/STOP/BUDGET), ``decision_now`` (the new clock) and the
-      group's ``completed`` flag;
     * per remote route ``r`` (cut order): ``delivered[r]`` and
       ``occupancy[r]`` -- the consumer-published credit state the
       producer's unmodified pump window reads;
     * per observed register (sorted full names): its value as int64, so
-      the leader can evaluate the group's done predicate over live
+      every member can evaluate the group's done predicate over live
       cross-member state.
+
+    There is no broadcast slot: after barrier B every member reads the
+    same published cells and computes the group's decision itself.
     """
 
     group_index: int
@@ -332,6 +346,10 @@ class _GroupPlan:
     observed: Tuple[str, ...]
     remote_route_cuts: Tuple[int, ...]
     remote_links: Tuple[_RemoteLink, ...]
+
+    @staticmethod
+    def control_slots(members: int, remote_routes: int, observed: int) -> int:
+        return 4 * members + 2 * remote_routes + observed
 
     # -- slot addressing ----------------------------------------------------
 
@@ -347,43 +365,14 @@ class _GroupPlan:
     def next_time_slot(self, m: int) -> int:
         return self.control_base + 4 * m + 3
 
-    @property
-    def _broadcast_base(self) -> int:
-        return self.control_base + 4 * len(self.members)
-
-    @property
-    def release_slot(self) -> int:
-        return self._broadcast_base
-
-    @property
-    def decision_slot(self) -> int:
-        return self._broadcast_base + 1
-
-    @property
-    def decision_now_slot(self) -> int:
-        return self._broadcast_base + 2
-
-    @property
-    def completed_slot(self) -> int:
-        return self._broadcast_base + 3
-
     def delivered_slot(self, r: int) -> int:
-        return self._broadcast_base + 4 + 2 * r
+        return self.control_base + 4 * len(self.members) + 2 * r
 
     def occupancy_slot(self, r: int) -> int:
-        return self._broadcast_base + 4 + 2 * r + 1
+        return self.delivered_slot(r) + 1
 
     def observed_slot(self, o: int) -> int:
-        return self._broadcast_base + 4 + 2 * len(self.remote_route_cuts) + o
-
-    @property
-    def slots(self) -> int:
-        return (
-            4 * len(self.members)
-            + 4
-            + 2 * len(self.remote_route_cuts)
-            + len(self.observed)
-        )
+        return self.delivered_slot(len(self.remote_route_cuts)) + o
 
 
 @dataclass(frozen=True)
@@ -507,59 +496,6 @@ def _build_fabric(
     )
 
 
-def _one_route_pump(route: tuple) -> Callable[[float], bool]:
-    """Interpreted pump closure over a single member-local route."""
-    routes = (route,)
-
-    def pump(now: float) -> bool:
-        return _pump_routes_interp(routes, now)
-
-    return pump
-
-
-def _remote_route_pump(
-    route: tuple, occupancy_of: Callable[[], int]
-) -> Callable[[float], bool]:
-    """Interpreted pump for a route whose consumer lives in another process.
-
-    Body identical to :func:`repro.sim.cosim._pump_routes_interp` for one
-    route, with the consumer occupancy read from the published cell instead
-    of the (reset, never-advancing) in-process replica endpoint.  All
-    bookkeeping -- credits, stall counts, driver charges, send order and
-    timing -- is unchanged.
-    """
-    from repro.platform.marshal import marshal_message
-
-    sync, vc, producer_engine, producer_store, _consumer_store, direction, sw_producer = route
-    data = sync.data
-    depth = sync.depth
-    ty = sync.ty
-
-    def pump(now: float) -> bool:
-        if not producer_store[data]:
-            return False
-        if data in producer_engine.locked_registers():
-            return False
-        progress = False
-        while producer_store[data]:
-            consumer_occupancy = occupancy_of()
-            if consumer_occupancy + vc.in_flight >= depth:
-                vc.note_credit_stall()
-                break
-            vc.credits = depth - consumer_occupancy - vc.in_flight
-            item = producer_store[data][0]
-            producer_store[data] = tuple(producer_store[data][1:])
-            words = marshal_message(vc.vc_id, ty, item, vc.word_bits)
-            direction.send_words(vc.vc_id, words, now)
-            vc.on_send()
-            if sw_producer:
-                producer_engine.charge_driver(vc.words_per_element, now)
-            progress = True
-        return progress
-
-    return pump
-
-
 def _make_endpoint(a: _WorkerAssignment, rl: _RemoteLink, consumer: bool):
     if a.carrier == "shm":
         return _ShmRing(a.arena, rl.ring_base, rl.capacity)
@@ -568,20 +504,8 @@ def _make_endpoint(a: _WorkerAssignment, rl: _RemoteLink, consumer: bool):
 
 
 def _carrier_stats(endpoints) -> Dict[str, int]:
-    stats = {
-        "records_out": 0,
-        "words_out": 0,
-        "records_in": 0,
-        "words_in": 0,
-        "full_retries": 0,
-    }
-    for ep in endpoints:
-        stats["records_out"] += ep.records_out
-        stats["words_out"] += ep.words_out
-        stats["records_in"] += ep.records_in
-        stats["words_in"] += ep.words_in
-        stats["full_retries"] += ep.full_retries
-    return stats
+    keys = ("records_out", "words_out", "records_in", "words_in", "full_retries")
+    return {k: sum(getattr(ep, k) for ep in endpoints) for k in keys}
 
 
 def _run_solo_member(
@@ -605,6 +529,18 @@ def _run_solo_member(
     }
 
 
+def _observed_cell(value: Any, reg: Any, label: str) -> int:
+    """An observed register's value as an int64 control-block cell."""
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
+    raise SimulationError(
+        f"distributed member {label}: observed register {reg.full_name} "
+        f"holds {value!r}, which does not fit the control block's int64 "
+        "cells; domain placement needs integer-valued done predicates (use "
+        "placement='group' for this design)"
+    )
+
+
 def _run_lockstep_member(
     fabric: CosimFabric, done, spec: _MemberSpec, a: _WorkerAssignment
 ) -> dict:
@@ -619,10 +555,15 @@ def _run_lockstep_member(
       (delivered counts and endpoint occupancies), so every producer pumps
       against exactly the occupancy the serial pump phase would read;
     * **B** after the member publishes its progress bit, next event time
-      and observed-register values, after which the leader (member 0)
-      replays the serial end-of-iteration decision -- quiescence check,
-      budget check, done check -- and broadcasts CONTINUE (with the new
-      clock), STOP or BUDGET.
+      and observed-register values.  Past B every member reads the same
+      cells and replays the serial end-of-iteration decision itself --
+      quiescence check, budget check, done check -- so the members
+      continue, stop or raise the budget error together, with no
+      broadcast sync point.
+
+    Reading iteration ``i``'s cells after B is race-free: a member
+    overwrites them only after passing barrier A of iteration ``i + 1``,
+    and every member arrives there only after that read.
 
     Freshly pumped records leave on the carriers between A and B of
     iteration ``i`` and are drained into the consumer's replica pool
@@ -657,11 +598,19 @@ def _run_lockstep_member(
             f"(parent planned {plan.observed}, member sees {obs_names}); "
             "the done predicate's read set must be deterministic at reset"
         )
+    # This member's observed registers are published from their owning
+    # stores (the active group's, so no read scoping applies); the other
+    # members' are answered from their published cells.
     own_names = set(fabric.observations_for_domains(spec.domain_names))
     by_name = {reg.full_name: reg for reg in observed}
-    own_obs = [
-        (o, by_name[nm]) for o, nm in enumerate(plan.observed) if nm in own_names
-    ]
+    own_obs: List[Tuple[int, Any, Any]] = []  # (cell, owning store, register)
+    foreign_obs: List[Tuple[str, int]] = []  # (full name, cell)
+    for o, nm in enumerate(plan.observed):
+        if nm in own_names:
+            reg = by_name[nm]  # the probe's read cached its owning store
+            own_obs.append((plan.observed_slot(o), fabric._owner_store[reg], reg))
+        else:
+            foreign_obs.append((nm, plan.observed_slot(o)))
 
     # -- engines: the group's engine order restricted to this member --------
     doms = [d for d in group.domains if d.name in member_names]
@@ -700,55 +649,61 @@ def _run_lockstep_member(
                 out_carriers.append((endpoints[key], pool))
 
     # -- transport routes: local pumps verbatim, remote pumps re-windowed ----
-    compiled = fabric._pump_fns is not None
+    lowered = fabric._pump_fns is not None
     cell_of_cut = {cut: r for r, cut in enumerate(plan.remote_route_cuts)}
     pump_fns: List[Callable[[float], bool]] = []
-    out_routes: List[Tuple[Any, int]] = []  # (vc, cell) for producer-side remotes
-    in_routes: List[Tuple[int, Any, Any, Any]] = []  # (cell, vc, store, data reg)
+    out_routes: List[Tuple[Any, int]] = []  # (vc, delivered cell)
+    in_routes: List[Tuple[int, int, Any, Any, Any]] = []  # cells, stats, endpoint
     for j, route in enumerate(fabric._routes):
         sync, vc, peng, pstore, cstore, direction, sw_prod = route
         src = sync.domain_enq.name
         dst = sync.domain_deq.name
         if src in member_names and dst in member_names:
-            pump_fns.append(fabric._pump_fns[j] if compiled else _one_route_pump(route))
+            pump_fns.append(
+                fabric._pump_fns[j]
+                if lowered
+                else functools.partial(_pump_routes_interp, (route,))
+            )
         elif src in member_names:
             r = cell_of_cut[j]
-            occ_slot = plan.occupancy_slot(r)
-            occ_fn = lambda u=u, k=occ_slot: u[k]  # noqa: E731
-            if compiled:
-                pump_fns.append(
-                    compile_transport_pump(
-                        sync.data,
-                        sync.depth,
-                        pstore,
-                        cstore,
-                        vc,
-                        direction,
-                        peng.locked_registers,
-                        peng.charge_driver if sw_prod else None,
-                        occupancy_of=occ_fn,
-                    )
+            occ_fn = lambda u=u, k=plan.occupancy_slot(r): u[k]  # noqa: E731
+            pump_args = (
+                sync.data,
+                sync.depth,
+                pstore,
+                cstore,
+                vc,
+                direction,
+                peng.locked_registers,
+                peng.charge_driver if sw_prod else None,
+            )
+            if not lowered:
+                pump = functools.partial(
+                    _pump_routes_interp, (route,), occupancy_of=occ_fn
+                )
+            elif fabric.transport == "source":
+                pump = generate_transport_pump(
+                    *pump_args,
+                    occupancy_of=occ_fn,
+                    name=f"{fabric.design.name}.route{j}.remote",
                 )
             else:
-                pump_fns.append(_remote_route_pump(route, occ_fn))
-            out_routes.append((vc, r))
+                pump = compile_transport_pump(*pump_args, occupancy_of=occ_fn)
+            pump_fns.append(pump)
+            out_routes.append((vc, plan.delivered_slot(r)))
         elif dst in member_names:
-            in_routes.append((cell_of_cut[j], vc, cstore, sync.data))
+            r = cell_of_cut[j]
+            in_routes.append(
+                (plan.delivered_slot(r), plan.occupancy_slot(r), vc.stats, cstore, sync.data)
+            )
 
     # -- delivery sweeps terminating in this member --------------------------
-    if compiled:
+    if lowered:
         deliver_fns = [
             fabric._deliver_fns[j]
             for j, d in enumerate(fabric._delivery_dsts)
             if d in member_names
         ]
-
-        def deliver_due(now: float) -> bool:
-            progress = False
-            for fn in deliver_fns:
-                progress |= fn(now)
-            return progress
-
     else:
         droutes = [
             fabric._delivery_routes[j]
@@ -756,43 +711,66 @@ def _run_lockstep_member(
             if d in member_names
         ]
         by_id = fabric.vcs.by_id
-
-        def deliver_due(now: float) -> bool:
-            return _deliver_routes_interp(droutes, by_id, now)
+        deliver_fns = [lambda now: _deliver_routes_interp(droutes, by_id, now)]
 
     # -- barriers ------------------------------------------------------------
     M = len(plan.members)
-    a_slots = [plan.arrive_a_slot(m) for m in range(M)]
-    b_slots = [plan.arrive_b_slot(m) for m in range(M)]
-    leader = my == 0
+    my_a, my_b = plan.arrive_a_slot(my), plan.arrive_b_slot(my)
+    my_progress, my_next = plan.progress_slot(my), plan.next_time_slot(my)
+    progress_slots = [plan.progress_slot(m) for m in range(M)]
+    next_slots = [plan.next_time_slot(m) for m in range(M)]
+    peers = [(m, "+".join(plan.members[m])) for m in range(M) if m != my]
+    a_waits = [
+        (plan.arrive_a_slot(m), f"barrier A (credit publish) from member {m} ({nm})")
+        for m, nm in peers
+    ]
+    b_waits = [
+        (plan.arrive_b_slot(m), f"barrier B (decision inputs) from member {m} ({nm})")
+        for m, nm in peers
+    ]
+    timeout = a.barrier_timeout
 
     def wait_at_least(idx: int, target: int, what: str) -> None:
-        if u[idx] >= target:
-            return
-        deadline = time.monotonic() + a.barrier_timeout
-        spins = 0
+        start = time.monotonic()
         while u[idx] < target:
-            spins += 1
-            if spins & 0x3F == 0:
-                time.sleep(0.00002)
-                if time.monotonic() > deadline:
-                    raise SimulationError(
-                        f"distributed member {spec.label} timed out after "
-                        f"{a.barrier_timeout:.0f}s waiting for {what} "
-                        f"(iteration {target})"
-                    )
+            waited = time.monotonic() - start
+            if waited < _YIELD_SECONDS:
+                os.sched_yield()
+            elif waited < timeout:
+                time.sleep(_SLEEP_SECONDS)
+            else:
+                raise SimulationError(
+                    f"distributed member {spec.label} timed out after "
+                    f"{timeout:.0f}s waiting for {what} (iteration {target})"
+                )
 
-    def leader_evaluate() -> bool:
+    def evaluate() -> bool:
         # Observed registers owned by *other members of this group* are
-        # answered from their published cells; the leader's own are read
+        # answered from their published cells; this member's own are read
         # live; other groups' resolve to reset values through the active-
         # group scope -- together exactly the serial done evaluation.
-        overrides = {
-            nm: int(q[plan.observed_slot(o)])
-            for o, nm in enumerate(plan.observed)
-            if nm not in own_names
-        }
-        return fabric.evaluate_done(done, finals=overrides or None)
+        overrides = {nm: q[k] for nm, k in foreign_obs}
+        result, reads = fabric.probe_done(done, overrides or None)
+        fabric._last_observed = observed  # the report publishes the probe's set
+        # A read of this group's register outside the probed set has no
+        # published cell: each member would answer it from its own replica
+        # and the members could decide differently.  All of them see the
+        # same inputs, so all of them fail here, together.
+        stray = sorted(
+            reg.full_name
+            for reg in reads
+            if reg not in observed and fabric.group_of_register(reg) == g
+        )
+        if stray:
+            raise SimulationError(
+                f"run_distributed cannot evaluate {fabric.design.name}'s done "
+                f"predicate in lockstep group {g}: it read {stray} during the "
+                "run but not at the reset-state probe, so no member publishes "
+                "them.  Done predicates for grouped runs must read their full "
+                "register set on every evaluation (no cross-group "
+                "short-circuit)."
+            )
+        return result
 
     def budget_error(at: float, iterations: int) -> SimulationError:
         hint = ""
@@ -837,23 +815,25 @@ def _run_lockstep_member(
                     pool.push(vc_id, words, due)
 
             progress = False
-            progress |= deliver_due(now)
+            for deliver in deliver_fns:
+                progress |= deliver(now)
             for engine in hw_engines:
                 progress |= engine.step_cycle(now)
             for engine in sw_engines:
                 progress |= engine.step(now)
 
             # Publish consumer-side credit state, then barrier A.
-            for r, vc, cstore, data_reg in in_routes:
-                u[plan.delivered_slot(r)] = vc.stats.messages_delivered
-                u[plan.occupancy_slot(r)] = len(cstore[data_reg])
-            u[a_slots[my]] = i
-            for idx in a_slots:
-                wait_at_least(idx, i, "barrier A (credit publish)")
+            for d_slot, o_slot, vc_stats, cstore, data_reg in in_routes:
+                u[d_slot] = vc_stats.messages_delivered
+                u[o_slot] = len(cstore[data_reg])
+            u[my_a] = i
+            for idx, what in a_waits:
+                if u[idx] < i:
+                    wait_at_least(idx, i, what)
 
             # Import peers' delivery acknowledgements (credit returns).
-            for k, (vc, r) in enumerate(out_routes):
-                seen = u[plan.delivered_slot(r)]
+            for k, (vc, d_slot) in enumerate(out_routes):
+                seen = u[d_slot]
                 vc.in_flight -= seen - last_delivered[k]
                 last_delivered[k] = seen
 
@@ -878,82 +858,55 @@ def _run_lockstep_member(
                     if shipped_min is None or due < shipped_min:
                         shipped_min = due
 
-            # This member's next event time: in-transit records it just
-            # shipped, its pools (arrived and unshipped), and its engines.
-            local_next = shipped_min
-            for pool in scan_pools:
-                t = pool.next_due()
-                if t is not None and (local_next is None or t < local_next):
-                    local_next = t
-            for engine in hw_engines:
-                t = engine.next_completion_time()
-                if t is not None and (local_next is None or t < local_next):
-                    local_next = t
-            for engine in sw_engines:
-                t = engine.next_event_time(now)
-                if t is not None and (local_next is None or t < local_next):
-                    local_next = t
-
-            # Publish loop inputs and observed values, then barrier B.
-            for o, reg in own_obs:
-                value = fabric.read(reg)
-                if value is True or value is False:
-                    value = int(value)
-                if not isinstance(value, int):
-                    raise SimulationError(
-                        f"distributed member {spec.label}: observed register "
-                        f"{reg.full_name} holds {value!r}, which does not fit "
-                        "the control block's int64 cells; domain placement "
-                        "needs integer-valued done predicates (use "
-                        "placement='group' for this design)"
-                    )
-                q[plan.observed_slot(o)] = value
-            u[plan.progress_slot(my)] = 1 if progress else 0
-            f[plan.next_time_slot(my)] = local_next if local_next is not None else _NAN
-            u[b_slots[my]] = i
-
-            if leader:
-                for idx in b_slots:
-                    wait_at_least(idx, i, "barrier B (decision inputs)")
-                progress_any = any(u[plan.progress_slot(m)] for m in range(M))
-                nexts = []
-                for m in range(M):
-                    t = f[plan.next_time_slot(m)]
-                    if t == t:  # not NaN
-                        nexts.append(t)
-                if not progress_any and not nexts:
-                    # Quiescent: finished or deadlocked -- ask the predicate.
-                    done_now = leader_evaluate() if done_g is not None else True
-                    u[plan.completed_slot] = 1 if done_now else 0
-                    f[plan.decision_now_slot] = now
-                    u[plan.decision_slot] = _STOP
-                else:
-                    new_now = (
-                        now + 1.0 if progress_any else max(now + 1.0, min(nexts))
-                    )
-                    f[plan.decision_now_slot] = new_now
-                    if not (new_now <= a.max_cycles and i < a.max_iterations):
-                        u[plan.decision_slot] = _BUDGET
-                    elif done_g is not None and leader_evaluate():
-                        # The serial loop's top-of-iteration done check.
-                        u[plan.completed_slot] = 1
-                        u[plan.decision_slot] = _STOP
-                    else:
-                        u[plan.decision_slot] = _CONTINUE
-                u[plan.release_slot] = i
+            # Publish loop inputs and observed values, then barrier B.  A
+            # member that made progress forces the next cycle, so only an
+            # idle member needs its next event time: in-transit records it
+            # just shipped, its pools (arrived and unshipped), its engines.
+            for k, store, reg in own_obs:
+                value = store[reg]
+                if type(value) is not int:
+                    value = _observed_cell(value, reg, spec.label)
+                q[k] = value
+            if progress:
+                u[my_progress] = 1
             else:
-                wait_at_least(plan.release_slot, i, "the leader's decision")
+                local_next = shipped_min
+                for pool in scan_pools:
+                    t = pool.next_due()
+                    if t is not None and (local_next is None or t < local_next):
+                        local_next = t
+                for engine in hw_engines:
+                    t = engine.next_completion_time()
+                    if t is not None and (local_next is None or t < local_next):
+                        local_next = t
+                for engine in sw_engines:
+                    t = engine.next_event_time(now)
+                    if t is not None and (local_next is None or t < local_next):
+                        local_next = t
+                u[my_progress] = 0
+                f[my_next] = _NAN if local_next is None else local_next
+            u[my_b] = i
+            for idx, what in b_waits:
+                if u[idx] < i:
+                    wait_at_least(idx, i, what)
 
-            decision = u[plan.decision_slot]
-            decided_now = f[plan.decision_now_slot]
-            if decision == _CONTINUE:
-                now = decided_now
-                continue
-            if decision == _STOP:
-                completed = bool(u[plan.completed_slot])
-                now = decided_now
+            # Every member replays the serial loop's end-of-iteration
+            # decision from the same cells, so all of them agree.
+            if progress or any(u[k] for k in progress_slots):
+                now += 1.0
+            else:
+                nexts = [t for t in (f[k] for k in next_slots) if t == t]
+                if not nexts:
+                    # Quiescent: finished or deadlocked -- ask the predicate.
+                    completed = evaluate() if done_g is not None else True
+                    break
+                now = max(now + 1.0, min(nexts))
+            if not (now <= a.max_cycles and i < a.max_iterations):
+                raise budget_error(now, i)
+            if done_g is not None and evaluate():
+                # The serial loop's top-of-iteration done check.
+                completed = True
                 break
-            raise budget_error(decided_now, i)
 
         # -- member report: everything result assembly needs, as plain data --
         domains_report: Dict[str, Dict[str, Any]] = {}
@@ -1103,7 +1056,9 @@ def _plan_groups(
             )
         )
         control_base = cursor
-        cursor += 4 * len(members) + 4 + 2 * len(remote_routes) + len(observed)
+        cursor += _GroupPlan.control_slots(
+            len(members), len(remote_routes), len(observed)
+        )
         links: List[_RemoteLink] = []
         for src, dst in layout["links"]:
             routes = by_link.get((src, dst))

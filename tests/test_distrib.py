@@ -1,6 +1,6 @@
 """Tests for distributed co-simulation (``repro.sim.distrib``).
 
-Four groups:
+Five groups:
 
 * **Differential matrix** -- ``run_distributed`` must be bitwise identical
   to ``scheduler="grouped"`` on a fresh elaboration, across backends
@@ -14,7 +14,14 @@ Four groups:
   ``SimulationError`` naming the member and exit code; a full carrier ring
   backpressures without perturbing simulated timing (bitwise-equal result,
   ``full_retries`` counted, every sent message delivered); undersized
-  rings are rejected up front.
+  rings are rejected up front; a member hung far past ``barrier_timeout``
+  makes its waiting peer raise, naming itself and the barrier.
+* **Lockstep decision** -- every member makes the end-of-iteration
+  decision itself, so a budget overrun raises exactly the serial
+  scheduler's error on both carriers; a done predicate that short-circuits
+  across members fails at once on every member instead of stalling a
+  barrier; four members pinned to one CPU still match
+  ``scheduler="grouped"`` bit for bit.
 * **Pool shutdown** -- ``_collect_pool_results`` regression: a cleanly
   exited pool with results still buffered in the queue's feeder pipe is
   not a dead pool.
@@ -23,6 +30,7 @@ Four groups:
 import multiprocessing
 import os
 import queue
+import time
 from dataclasses import asdict
 
 import pytest
@@ -193,8 +201,12 @@ class _TestWorkload:
         return self._done(cosim)
 
 
-def build_crash_pipeline(n_items=6, crash_at=3):
-    """SW source -> HW stage whose kernel kills the process at ``crash_at``."""
+def build_crash_pipeline(n_items=6, crash_at=3, hang_seconds=None):
+    """SW source -> HW stage whose kernel kills the process at ``crash_at``.
+
+    With ``hang_seconds`` the kernel blocks that long instead of exiting:
+    the HW member stops arriving at barriers while staying alive.
+    """
     top = Module("top")
     src = top.add_submodule(Module("src", domain=SW))
     st = top.add_submodule(Module("st", domain=HW_CRASH))
@@ -212,7 +224,10 @@ def build_crash_pipeline(n_items=6, crash_at=3):
 
     def lethal(x):
         if x >= crash_at:
-            os._exit(3)
+            if hang_seconds is not None:
+                time.sleep(hang_seconds)
+            else:
+                os._exit(3)
         return x + 1
 
     step = KernelCall("lethal", lethal, [q.value("first")], sw_cycles=10, hw_cycles=2)
@@ -223,6 +238,36 @@ def build_crash_pipeline(n_items=6, crash_at=3):
     )
     design = Design(top, "crash_pipe")
     return _TestWorkload(design, lambda c: c.read(ndone) >= n_items)
+
+
+def build_short_circuit_pipeline(n_items=6):
+    """SW source -> HW counter, done when ``cnt >= n and got >= n``.
+
+    The conjunction short-circuits: the HW member's ``got`` is read only
+    once the SW member's ``cnt`` has reached ``n_items``, so the reset-state
+    probe never records it and no member publishes it.
+    """
+    top = Module("top")
+    src = top.add_submodule(Module("src", domain=SW))
+    st = top.add_submodule(Module("st", domain=HW_CRASH))
+    q = top.add_submodule(SyncFifo("q", UIntT(32), SW, HW_CRASH, depth=2))
+    cnt = src.add_register("cnt", UIntT(32), 0)
+    got = st.add_register("got", UIntT(32), 0)
+    src.add_rule(
+        "produce",
+        par(
+            q.call("enq", RegRead(cnt)),
+            cnt.write(BinOp("+", RegRead(cnt), Const(1))),
+        ).when(BinOp("<", RegRead(cnt), Const(n_items))),
+    )
+    st.add_rule(
+        "consume",
+        par(q.call("deq"), got.write(BinOp("+", RegRead(got), Const(1)))),
+    )
+    design = Design(top, "short_circuit")
+    return _TestWorkload(
+        design, lambda c: c.read(cnt) >= n_items and c.read(got) >= n_items
+    )
 
 
 def build_burst_pipeline(n_items=5, depth=3):
@@ -313,6 +358,99 @@ class TestFaults:
     def test_undersized_ring_rejected(self):
         with pytest.raises(ValueError, match="cannot hold one framed record"):
             distributed("vorbis_B", placement="domain", ring_words=4)
+
+    def test_hung_member_times_out_at_barrier(self):
+        # The HW member blocks in its kernel far past the barrier timeout;
+        # the SW member's wait must give up on its slow path and name
+        # itself and the barrier it was stuck at.
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as err:
+            run_distributed(
+                build_crash_pipeline,
+                kwargs={"hang_seconds": 600.0},
+                backend="interp",
+                placement="domain",
+                barrier_timeout=2.0,
+            )
+        assert time.monotonic() - t0 < 30.0
+        message = str(err.value)
+        assert "distributed member crash_pipe[g0:SW] timed out after 2s" in message
+        assert "barrier A (credit publish) from member" in message
+        assert "(HW_CRASH)" in message
+
+
+# --------------------------------------------------------------------------
+# lockstep decision and wait policy: every member decides, any CPU count
+# --------------------------------------------------------------------------
+
+
+@needs_fork
+class TestLockstepDecision:
+    @pytest.mark.parametrize("carrier", ["shm", "socket"])
+    @pytest.mark.parametrize(
+        "budget", [{"max_iterations": 40}, {"max_cycles": 300.0}], ids=["iterations", "cycles"]
+    )
+    def test_budget_error_matches_grouped(self, budget, carrier):
+        # Every member reaches the budget decision on its own; whichever
+        # reports first, the error is the serial scheduler's, verbatim.
+        builder, args = WORKLOADS["vorbis_B"]
+        workload = builder(*args)
+        fabric = CosimFabric(workload.design, backend="compiled")
+        with pytest.raises(SimulationError) as ref:
+            fabric.run(workload.cosim_done, scheduler="grouped", **budget)
+        with pytest.raises(SimulationError) as got:
+            distributed(
+                "vorbis_B",
+                backend="compiled",
+                placement="domain",
+                carrier=carrier,
+                **budget,
+            )
+        assert "exceeded its cycle/iteration budget" in str(ref.value)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("carrier", ["shm", "socket"])
+    def test_short_circuit_predicate_fails_fast(self, carrier):
+        # Once cnt reaches n the predicate reads got, which no member
+        # publishes.  Every member must raise the read-set contract error
+        # together; one that carried on would strand the other at a barrier
+        # until barrier_timeout.
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as err:
+            run_distributed(
+                build_short_circuit_pipeline,
+                backend="interp",
+                placement="domain",
+                carrier=carrier,
+                barrier_timeout=120.0,
+            )
+        assert time.monotonic() - t0 < 30.0
+        message = str(err.value)
+        assert "no cross-group short-circuit" in message
+        assert "top.st.got" in message
+        assert "timed out" not in message
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control"
+    )
+    def test_oversubscribed_members_match_grouped(self):
+        # Pin the parent to one CPU; the forked members inherit the pin, so
+        # four lockstep members share it and each waiting member must give
+        # the CPU away for its peers to arrive.
+        saved = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(saved)})
+        except OSError as exc:  # pragma: no cover - affinity locked down
+            pytest.skip(f"cannot pin to one CPU: {exc}")
+        try:
+            assert len(os.sched_getaffinity(0)) == 1
+            report = distributed(
+                "vorbis_H", backend="compiled", placement="domain", barrier_timeout=60.0
+            )
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert report.processes == 4
+        assert asdict(report.result) == grouped_reference("vorbis_H", "compiled")
 
 
 # --------------------------------------------------------------------------
