@@ -60,8 +60,9 @@ Timing methodology: each workload's design is elaborated once (both backends
 execute the *same* immutable design, mirroring the paper's compile-once /
 run-many model); the measured quantity is the best of ``--repeats``
 co-simulation runs, which is the standard way to suppress scheduler noise on
-shared machines.  One-time closure-compilation cost is reported separately
-as ``compile_seconds``.
+shared machines.  The first fabric construction -- elaboration plus rule and
+transport source generation and compilation -- is timed on its own and
+reported separately as ``compile_seconds``.
 """
 
 from __future__ import annotations
@@ -204,18 +205,23 @@ def build_workloads(size: str):
     return workloads
 
 
+def build_sim(workload, backend: str, is_fabric: bool = False, transport=None):
+    fabric = CosimFabric if is_fabric else Cosimulator
+    return fabric(workload.design, backend=backend, transport=transport)
+
+
 def run_once(workload, backend: str, is_fabric: bool = False, transport=None):
-    if is_fabric:
-        sim = CosimFabric(workload.design, backend=backend, transport=transport)
-    else:
-        sim = Cosimulator(workload.design, backend=backend, transport=transport)
+    sim = build_sim(workload, backend, is_fabric, transport)
     return sim.run(workload.cosim_done, max_cycles=500_000_000)
 
 
 def measure(workload, backend: str, repeats: int, is_fabric: bool = False, transport=None) -> Dict[str, Any]:
-    # First run pays one-time compilation/analysis for this design+backend.
+    # The first construction pays elaboration and source generation for this
+    # design+backend; later ones reuse the compiled-code cache.
     t0 = time.perf_counter()
-    result = run_once(workload, backend, is_fabric, transport)
+    sim = build_sim(workload, backend, is_fabric, transport)
+    compile_seconds = time.perf_counter() - t0
+    result = sim.run(workload.cosim_done, max_cycles=500_000_000)
     first = time.perf_counter() - t0
 
     best = first
@@ -227,7 +233,7 @@ def measure(workload, backend: str, repeats: int, is_fabric: bool = False, trans
     firings = result.sw_firings + result.hw_firings
     return {
         "wall_seconds": best,
-        "compile_seconds": max(0.0, first - best),
+        "compile_seconds": compile_seconds,
         "firings": firings,
         "firings_per_sec": firings / best if best > 0 else float("inf"),
         "fpga_cycles": result.fpga_cycles,

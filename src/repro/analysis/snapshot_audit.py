@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.core.fixedpoint import ComplexVector, FixComplex, FixedPoint, FixVector
 from repro.core.scheduler import RuleWakeup, WakingStore
 from repro.platform.channel import (
     ChannelDirection,
@@ -73,6 +74,12 @@ def _spec(**kwargs) -> CoverageSpec:
         if key in kwargs:
             kwargs[key] = frozenset(kwargs[key])
     return CoverageSpec(**kwargs)
+
+
+#: Immutable register payloads defined in this codebase.  Like ints and
+#: tuples they ride their owner's snapshot, so the audit never recurses
+#: into them.
+_VALUE_CLASSES = (FixedPoint, FixComplex, FixVector, ComplexVector)
 
 
 #: class -> coverage spec.  Subclasses merge every spec on their MRO, so a
@@ -388,7 +395,8 @@ def audit_fabric(fabric: CosimFabric) -> List[Diagnostic]:
                 # a container child (an engine map, a plain-dict store) can
                 # surface data payloads -- ints, tuples, arrays -- which ride
                 # their owner's snapshot and are not auditable classes.
-                if getattr(type(child), "__module__", "").startswith("repro."):
+                module = getattr(type(child), "__module__", "")
+                if module.startswith("repro.") and not isinstance(child, _VALUE_CLASSES):
                     queue.append((child, f"{path}.{attr}"))
 
     return sorted(diags)

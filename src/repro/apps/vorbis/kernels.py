@@ -11,15 +11,18 @@ Each kernel exists in the backends of the kernel dataplane
 * the ``*_oracle`` functions are the original object-based implementations,
   kept verbatim as the semantic reference;
 * the ``_*_raw`` functions are the batch raw-integer lowering -- inputs are
-  unboxed to flat raw tuples once per invocation, the butterflies/rotations
-  run in plain-int arithmetic that wraps after every operation exactly like
-  ``FixedPoint``, and results are boxed once at the end;
+  read as flat raw tuples (directly from a compact
+  :class:`~repro.core.fixedpoint.FixVector`/``ComplexVector``, or unboxed
+  once from a plain tuple), the butterflies/rotations run in plain-int
+  arithmetic that wraps after every operation exactly like ``FixedPoint``,
+  and results are returned as compact vectors that box only on element
+  access;
 * the ``_*_np`` functions vectorise the same raw computation over int64
   arrays (formats up to 32 total bits; wider formats fall back to raw).
 
 The public kernel names dispatch on :func:`~repro.core.kernelcompile.effective_backend`
 and, on the fast backends, memoise results through the pure-kernel cache
-(all Vorbis kernels return immutable tuples, so sharing cached results is
+(all Vorbis kernels return immutable vectors, so sharing cached results is
 safe).  Every backend is bit-identical; the differential tests in
 ``tests/test_kernels.py`` enforce it.
 
@@ -42,21 +45,37 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core import kernelcompile as kc
 from repro.core.fixedpoint import (
+    ComplexVector,
     FixComplex,
     FixedPoint,
-    box_complex_vector,
-    box_fixed_vector,
+    FixVector,
     raw_from_float,
 )
 
-FixVec = Tuple[FixedPoint, ...]
-CplxVec = Tuple[FixComplex, ...]
+#: Vector values: compact ``FixVector``/``ComplexVector`` on the fast
+#: backends, plain tuples of boxed elements from the oracles.
+FixVec = Sequence[FixedPoint]
+CplxVec = Sequence[FixComplex]
 
 RawVec = Tuple[int, ...]
+
+
+def _raws(vec: FixVec) -> RawVec:
+    """The raw ints of a FixPt vector, read directly when it is compact."""
+    if vec.__class__ is FixVector:
+        return vec.raws
+    return tuple(v.raw for v in vec)
+
+
+def _re_im(vec: CplxVec) -> Tuple[RawVec, RawVec]:
+    """The raw (re, im) ints of a complex vector, read directly when compact."""
+    if vec.__class__ is ComplexVector:
+        return vec.re, vec.im
+    return tuple(v.real.raw for v in vec), tuple(v.imag.raw for v in vec)
 
 
 # Per-format backend bindings: the choice (oracle/python/numpy after width
@@ -141,7 +160,7 @@ def _window_table_raw(points: int, int_bits: int, frac_bits: int) -> RawVec:
 def _twiddles(points: int, int_bits: int, frac_bits: int) -> CplxVec:
     """Inverse-transform twiddle factors (boxed view of the raw table)."""
     re, im = _twiddles_raw(points, int_bits, frac_bits)
-    return box_complex_vector(re, im, int_bits, frac_bits)
+    return tuple(ComplexVector(re, im, int_bits, frac_bits))
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +168,8 @@ def _pre_tables(n: int, int_bits: int, frac_bits: int) -> Tuple[CplxVec, CplxVec
     """The two IMDCT pre-multiply tables (preTable1 / preTable2 of Section 4.1)."""
     lo_re, lo_im, hi_re, hi_im = _pre_tables_raw(n, int_bits, frac_bits)
     return (
-        box_complex_vector(lo_re, lo_im, int_bits, frac_bits),
-        box_complex_vector(hi_re, hi_im, int_bits, frac_bits),
+        tuple(ComplexVector(lo_re, lo_im, int_bits, frac_bits)),
+        tuple(ComplexVector(hi_re, hi_im, int_bits, frac_bits)),
     )
 
 
@@ -158,13 +177,15 @@ def _pre_tables(n: int, int_bits: int, frac_bits: int) -> Tuple[CplxVec, CplxVec
 def _post_table(points: int, int_bits: int, frac_bits: int) -> CplxVec:
     """The IMDCT post-rotation table applied after the IFFT."""
     re, im = _post_table_raw(points, int_bits, frac_bits)
-    return box_complex_vector(re, im, int_bits, frac_bits)
+    return tuple(ComplexVector(re, im, int_bits, frac_bits))
 
 
 @lru_cache(maxsize=None)
 def _window_table(points: int, int_bits: int, frac_bits: int) -> FixVec:
     """The Vorbis-style sine window over ``points`` samples (boxed view)."""
-    return box_fixed_vector(_window_table_raw(points, int_bits, frac_bits), int_bits, frac_bits)
+    return tuple(
+        FixVector(_window_table_raw(points, int_bits, frac_bits), int_bits, frac_bits)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +274,7 @@ def gen_frame(index: int, n: int, seed: int = 2012, int_bits: int = 8, frac_bits
     for _ in range(n):
         state = (1103515245 * state + 12345) & 0x7FFFFFFF
         append(raw_from_float(((state / float(0x7FFFFFFF)) * 1.8) - 0.9, frac_bits, total))
-    return kc.cache_put(key, box_fixed_vector(raws, int_bits, frac_bits))
+    return kc.cache_put(key, FixVector(raws, int_bits, frac_bits))
 
 
 def backend_input_oracle(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
@@ -283,7 +304,7 @@ def backend_input(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> FixV
     backend = _backend_for(int_bits + frac_bits)
     if backend == "oracle":
         return backend_input_oracle(frame, int_bits, frac_bits)
-    raws = tuple(v.raw for v in frame)
+    raws = _raws(frame)
     key = ("backend_input", int_bits, frac_bits, raws)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -292,7 +313,7 @@ def backend_input(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> FixV
         out = _backend_input_np(raws, int_bits, frac_bits)
     else:
         out = _backend_input_raw(raws, int_bits, frac_bits)
-    return kc.cache_put(key, box_fixed_vector(out, int_bits, frac_bits))
+    return kc.cache_put(key, FixVector(out, int_bits, frac_bits))
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +371,7 @@ def imdct_pre(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
     backend = _backend_for(int_bits + frac_bits)
     if backend == "oracle":
         return imdct_pre_oracle(frame, int_bits, frac_bits)
-    raws = tuple(v.raw for v in frame)
+    raws = _raws(frame)
     key = ("imdct_pre", int_bits, frac_bits, raws)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -359,7 +380,7 @@ def imdct_pre(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
         out_re, out_im = _imdct_pre_np(raws, int_bits, frac_bits)
     else:
         out_re, out_im = _imdct_pre_raw(raws, int_bits, frac_bits)
-    return kc.cache_put(key, box_complex_vector(out_re, out_im, int_bits, frac_bits))
+    return kc.cache_put(key, ComplexVector(out_re, out_im, int_bits, frac_bits))
 
 
 def ifft_radix_stage_oracle(
@@ -487,9 +508,8 @@ def _ifft_stages_np(
 def _ifft_stages(
     first: int, last: int, data: CplxVec, int_bits: int, frac_bits: int, backend: str
 ) -> CplxVec:
-    """Shared fast-backend driver: unbox once, run stages, box once, cache."""
-    re = tuple(v.real.raw for v in data)
-    im = tuple(v.imag.raw for v in data)
+    """Shared fast-backend driver: read raws, run stages, return a compact vector, cache."""
+    re, im = _re_im(data)
     key = ("ifft", first, last, int_bits, frac_bits, re, im)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -498,7 +518,7 @@ def _ifft_stages(
         out_re, out_im = _ifft_stages_np(first, last, re, im, int_bits, frac_bits)
     else:
         out_re, out_im = _ifft_stages_raw(first, last, re, im, int_bits, frac_bits)
-    return kc.cache_put(key, box_complex_vector(out_re, out_im, int_bits, frac_bits))
+    return kc.cache_put(key, ComplexVector(out_re, out_im, int_bits, frac_bits))
 
 
 def ifft_radix_stage(stage: int, data: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
@@ -614,8 +634,7 @@ def imdct_post(spectrum: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> Fix
     backend = _backend_for(int_bits + frac_bits)
     if backend == "oracle":
         return imdct_post_oracle(spectrum, int_bits, frac_bits)
-    re = tuple(v.real.raw for v in spectrum)
-    im = tuple(v.imag.raw for v in spectrum)
+    re, im = _re_im(spectrum)
     key = ("imdct_post", int_bits, frac_bits, re, im)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -624,7 +643,7 @@ def imdct_post(spectrum: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> Fix
         out = _imdct_post_np(re, im, int_bits, frac_bits)
     else:
         out = _imdct_post_raw(re, im, int_bits, frac_bits)
-    return kc.cache_put(key, box_fixed_vector(out, int_bits, frac_bits))
+    return kc.cache_put(key, FixVector(out, int_bits, frac_bits))
 
 
 def window_overlap_oracle(
@@ -687,8 +706,8 @@ def window_overlap(
     n = len(previous)
     if len(current) != 2 * n:
         raise ValueError(f"window: expected {2 * n} current samples, got {len(current)}")
-    prev = tuple(v.raw for v in previous)
-    cur = tuple(v.raw for v in current)
+    prev = _raws(previous)
+    cur = _raws(current)
     key = ("window_overlap", int_bits, frac_bits, prev, cur)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -697,9 +716,8 @@ def window_overlap(
         pcm_raws = _window_overlap_np(prev, cur, int_bits, frac_bits)
     else:
         pcm_raws = _window_overlap_raw(prev, cur, int_bits, frac_bits)
-    pcm = box_fixed_vector(pcm_raws, int_bits, frac_bits)
-    new_previous = tuple(current[n + i] for i in range(n))
-    return kc.cache_put(key, (pcm, new_previous))
+    pcm = FixVector(pcm_raws, int_bits, frac_bits)
+    return kc.cache_put(key, (pcm, current[n:]))
 
 
 def audio_checksum(pcm: FixVec, running: int) -> int:
@@ -708,9 +726,15 @@ def audio_checksum(pcm: FixVec, running: int) -> int:
     The checksum stands in for the memory-mapped audio output; comparing it
     across partitions is the bit-exactness check of the latency-insensitive
     refinement claim.  Already raw-integer arithmetic, so it is its own fast
-    path and has no per-backend variants.
+    path and has no per-backend variants; a compact vector folds its raw
+    ints directly.
     """
     total = running
+    if pcm.__class__ is FixVector:
+        mask = (1 << (pcm.int_bits + pcm.frac_bits)) - 1
+        for raw in pcm.raws:
+            total = (total * 31 + (raw & mask)) & 0xFFFFFFFF
+        return total
     for sample in pcm:
         total = (total * 31 + sample.to_bits()) & 0xFFFFFFFF
     return total

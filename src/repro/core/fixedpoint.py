@@ -15,6 +15,7 @@ on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterable, Tuple, Union
 
 Number = Union[int, float, "FixedPoint"]
@@ -34,8 +35,9 @@ def _wrap(raw: int, total_bits: int) -> int:
 # --------------------------------------------------------------------------
 #
 # The kernel dataplane (repro.core.kernelcompile and the batch kernels built
-# on it) computes over plain raw two's-complement ints and boxes FixedPoint
-# objects only at kernel boundaries.  These module-level helpers are the
+# on it) computes over plain raw two's-complement ints and passes vectors
+# between kernels as compact FixVector/ComplexVector values, which box
+# FixedPoint objects only on element access.  These module-level helpers are the
 # single definition of that raw arithmetic; each mirrors the corresponding
 # FixedPoint operator bit for bit (wrap after every operation, Python floor
 # semantics for shifts and division, round-half-even quantisation).
@@ -105,42 +107,6 @@ def from_wrapped_raw(raw: int, int_bits: int, frac_bits: int) -> "FixedPoint":
     fp.int_bits = int_bits
     fp.frac_bits = frac_bits
     return fp
-
-
-def box_fixed_vector(raws: Iterable[int], int_bits: int, frac_bits: int) -> Tuple["FixedPoint", ...]:
-    """Box a sequence of wrapped raw ints into a ``FixedPoint`` tuple."""
-    new = FixedPoint.__new__
-    out = []
-    for raw in raws:
-        fp = new(FixedPoint)
-        fp.raw = raw
-        fp.int_bits = int_bits
-        fp.frac_bits = frac_bits
-        out.append(fp)
-    return tuple(out)
-
-
-def box_complex_vector(
-    re_raws: Iterable[int], im_raws: Iterable[int], int_bits: int, frac_bits: int
-) -> Tuple["FixComplex", ...]:
-    """Box parallel wrapped raw re/im sequences into a ``FixComplex`` tuple."""
-    new_fp = FixedPoint.__new__
-    new_cx = FixComplex.__new__
-    out = []
-    for re_raw, im_raw in zip(re_raws, im_raws):
-        re = new_fp(FixedPoint)
-        re.raw = re_raw
-        re.int_bits = int_bits
-        re.frac_bits = frac_bits
-        im = new_fp(FixedPoint)
-        im.raw = im_raw
-        im.int_bits = int_bits
-        im.frac_bits = frac_bits
-        cx = new_cx(FixComplex)
-        cx.real = re
-        cx.imag = im
-        out.append(cx)
-    return tuple(out)
 
 
 class FixedPoint:
@@ -381,6 +347,99 @@ class FixComplex:
 
     def __repr__(self) -> str:
         return f"FixComplex({self.real.to_float():.6f}, {self.imag.to_float():.6f})"
+
+
+class _CompactVector(Sequence):
+    """Equality, hashing and ``repr`` of the compact vector classes.
+
+    A compact vector equals another of its class with the same fields, and
+    a tuple or list element by element; its ``hash`` and ``repr`` are those
+    of the equivalent tuple of boxed elements.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class FixVector(_CompactVector):
+    """A ``Vector#(n, FixPt)`` value held as one object over its raw ints.
+
+    The kernel dataplane's vectors: ``raws`` is a tuple of already-wrapped
+    raw two's-complement ints sharing one format, so a frame is two objects
+    (this and an int tuple the cycle collector does not track) instead of
+    ``1 + n`` tracked ``FixedPoint`` boxes.  Elements box only on access:
+    indexing and iteration yield ``FixedPoint`` and a slice is a
+    ``FixVector``.  Treated as immutable.
+    """
+
+    __slots__ = ("raws", "int_bits", "frac_bits")
+
+    def __init__(self, raws: Iterable[int], int_bits: int = 8, frac_bits: int = 24):
+        self.raws = tuple(raws)
+        self.int_bits = int_bits
+        self.frac_bits = frac_bits
+
+    def __len__(self) -> int:
+        return len(self.raws)
+
+    def __getitem__(self, index):
+        if index.__class__ is slice:
+            return FixVector(self.raws[index], self.int_bits, self.frac_bits)
+        return from_wrapped_raw(self.raws[index], self.int_bits, self.frac_bits)
+
+    def __iter__(self):
+        ib, fb = self.int_bits, self.frac_bits
+        for raw in self.raws:
+            yield from_wrapped_raw(raw, ib, fb)
+
+
+class ComplexVector(_CompactVector):
+    """A ``Vector#(n, Complex#(FixPt))`` value held as one object.
+
+    ``re`` and ``im`` are parallel tuples of wrapped raw ints in one
+    format; elements box to :class:`FixComplex` only on access, and a slice
+    is a ``ComplexVector``.  Treated as immutable.
+    """
+
+    __slots__ = ("re", "im", "int_bits", "frac_bits")
+
+    def __init__(
+        self, re: Iterable[int], im: Iterable[int], int_bits: int = 8, frac_bits: int = 24
+    ):
+        self.re = tuple(re)
+        self.im = tuple(im)
+        if len(self.re) != len(self.im):
+            raise ValueError("ComplexVector: re and im lengths differ")
+        self.int_bits = int_bits
+        self.frac_bits = frac_bits
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, index):
+        ib, fb = self.int_bits, self.frac_bits
+        if index.__class__ is slice:
+            return ComplexVector(self.re[index], self.im[index], ib, fb)
+        return FixComplex(
+            from_wrapped_raw(self.re[index], ib, fb), from_wrapped_raw(self.im[index], ib, fb)
+        )
+
+    def __iter__(self):
+        ib, fb = self.int_bits, self.frac_bits
+        for re, im in zip(self.re, self.im):
+            yield FixComplex(from_wrapped_raw(re, ib, fb), from_wrapped_raw(im, ib, fb))
 
 
 def fix_vector(values: Iterable[float], int_bits: int = 8, frac_bits: int = 24) -> Tuple[FixedPoint, ...]:

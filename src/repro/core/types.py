@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.core.errors import TypeCheckError
-from repro.core.fixedpoint import FixComplex, FixedPoint
+from repro.core.fixedpoint import ComplexVector, FixComplex, FixedPoint, FixVector
 
 
 class BCLType:
@@ -221,8 +221,13 @@ class ComplexT(BCLType):
 class VectorT(BCLType):
     """Fixed-length vector of a homogeneous element type (``Vector#(n, t)``).
 
-    Values are tuples of length ``n``.  Element 0 occupies the least
-    significant bits, matching BSV's packing convention.
+    Values are sequences of length ``n``: tuples or lists in general, and
+    for fixed-point and complex fixed-point elements the compact
+    :class:`~repro.core.fixedpoint.FixVector` /
+    :class:`~repro.core.fixedpoint.ComplexVector`, which is what
+    :meth:`unpack` and :meth:`default` return for those element types.
+    Element 0 occupies the least significant bits, matching BSV's packing
+    convention.
     """
 
     def __init__(self, n: int, elem: BCLType):
@@ -239,7 +244,7 @@ class VectorT(BCLType):
         return cached
 
     def pack(self, value: Any) -> int:
-        if not isinstance(value, (tuple, list)) or len(value) != self.n:
+        if not isinstance(value, (tuple, list, FixVector, ComplexVector)) or len(value) != self.n:
             raise TypeCheckError(
                 f"{self!r} expects a sequence of length {self.n}, got {value!r}"
             )
@@ -249,13 +254,28 @@ class VectorT(BCLType):
             bits |= self.elem.pack(v) << (i * w)
         return bits
 
-    def unpack(self, bits: int) -> Tuple[Any, ...]:
+    def unpack(self, bits: int) -> Any:
         w = self.elem.bit_width()
         mask = (1 << w) - 1
-        return tuple(self.elem.unpack((bits >> (i * w)) & mask) for i in range(self.n))
+        values = [self.elem.unpack((bits >> (i * w)) & mask) for i in range(self.n)]
+        return self._compact(values)
 
-    def default(self) -> Tuple[Any, ...]:
-        return tuple(self.elem.default() for _ in range(self.n))
+    def default(self) -> Any:
+        return self._compact([self.elem.default() for _ in range(self.n)])
+
+    def _compact(self, values: Sequence[Any]) -> Any:
+        """``values`` as this type's vector value (compact for FixPt/Complex elements)."""
+        elem = self.elem
+        if isinstance(elem, FixPtT):
+            return FixVector((v.raw for v in values), elem.int_bits, elem.frac_bits)
+        if isinstance(elem, ComplexT):
+            return ComplexVector(
+                (v.real.raw for v in values),
+                (v.imag.raw for v in values),
+                elem.elem.int_bits,
+                elem.elem.frac_bits,
+            )
+        return tuple(values)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VectorT) and other.n == self.n and other.elem == self.elem

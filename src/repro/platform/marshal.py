@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SimulationError, WireFormatError
-from repro.core.fixedpoint import FixComplex, FixedPoint, from_wrapped_raw
+from repro.core.fixedpoint import (
+    ComplexVector,
+    FixComplex,
+    FixedPoint,
+    FixVector,
+    from_wrapped_raw,
+)
 from repro.core.types import (
     BCLType,
     BitT,
@@ -285,7 +291,8 @@ class _FastPackMismatch(Exception):
     The slow re-pack either succeeds (a legal value the conservative fast
     predicate rejected, e.g. a ``FixedPoint`` subclass) or raises the
     reference implementation's exact exception -- so the fused path never
-    changes error behaviour, only speed.
+    changes error behaviour, only speed.  A compact vector of the wrong
+    length or format takes the same path.
     """
 
 
@@ -298,6 +305,8 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
     predicate.  Composite packers are built recursively, with dedicated
     single-loop forms for the frame shapes the transport actually moves:
     ``Vector#(FixPt)``, ``Vector#(Complex#(FixPt))`` and ``Vector#(UInt)``.
+    The fixed-point vector forms pack a compact ``FixVector`` /
+    ``ComplexVector`` straight from its raw tuples.
     """
     if isinstance(ty, (UIntT, BitT)):
         hi = (1 << ty.n) - 1
@@ -367,12 +376,20 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
             mask = (1 << w) - 1
 
             def pack_fix_vec(value: Any) -> int:
+                bits = 0
+                shift = 0
+                if value.__class__ is FixVector:
+                    raws = value.raws
+                    if len(raws) != n or value.int_bits != ib or value.frac_bits != fb:
+                        raise _FastPackMismatch
+                    for raw in raws:
+                        bits |= (raw & mask) << shift
+                        shift += w
+                    return bits
                 if (value.__class__ is not tuple and value.__class__ is not list) or len(
                     value
                 ) != n:
                     raise _FastPackMismatch
-                bits = 0
-                shift = 0
                 for v in value:
                     if v.__class__ is not FixedPoint or v.int_bits != ib or v.frac_bits != fb:
                         raise _FastPackMismatch
@@ -387,12 +404,19 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
             mask = (1 << half) - 1
 
             def pack_cplx_vec(value: Any) -> int:
+                bits = 0
+                shift = 0
+                if value.__class__ is ComplexVector:
+                    if len(value.re) != n or value.int_bits != ib or value.frac_bits != fb:
+                        raise _FastPackMismatch
+                    for re_raw, im_raw in zip(value.re, value.im):
+                        bits |= (((re_raw & mask) << half) | (im_raw & mask)) << shift
+                        shift += w
+                    return bits
                 if (value.__class__ is not tuple and value.__class__ is not list) or len(
                     value
                 ) != n:
                     raise _FastPackMismatch
-                bits = 0
-                shift = 0
                 for v in value:
                     if v.__class__ is not FixComplex:
                         raise _FastPackMismatch
@@ -501,7 +525,8 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
     replicate the reference bit semantics exactly (masking, two's-complement
     sign extension, vector element order, struct field order).  Fixed-point
     leaves box through :func:`~repro.core.fixedpoint.from_wrapped_raw`,
-    skipping the re-wrap of already-wrapped values.
+    skipping the re-wrap of already-wrapped values; fixed-point vectors
+    decode to compact ``FixVector``/``ComplexVector`` values without boxing.
     """
     if isinstance(ty, (UIntT, BitT)):
         mask = (1 << ty.n) - 1
@@ -539,10 +564,9 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
             mask = (1 << w) - 1
             sign = 1 << (w - 1)
 
-            def unpack_fix_vec(bits: int) -> Tuple[Any, ...]:
-                return tuple(
-                    from_wrapped_raw((((bits >> (i * w)) & mask) ^ sign) - sign, ib, fb)
-                    for i in range(n)
+            def unpack_fix_vec(bits: int) -> FixVector:
+                return FixVector(
+                    [(((bits >> (i * w)) & mask) ^ sign) - sign for i in range(n)], ib, fb
                 )
 
             return unpack_fix_vec
@@ -552,20 +576,14 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
             mask = (1 << half) - 1
             sign = 1 << (half - 1)
 
-            def unpack_cplx_vec(bits: int) -> Tuple[Any, ...]:
-                out = []
-                append = out.append
+            def unpack_cplx_vec(bits: int) -> ComplexVector:
+                re = []
+                im = []
                 for i in range(n):
                     word = bits >> (i * w)
-                    append(
-                        FixComplex(
-                            from_wrapped_raw(
-                                (((word >> half) & mask) ^ sign) - sign, ib, fb
-                            ),
-                            from_wrapped_raw(((word & mask) ^ sign) - sign, ib, fb),
-                        )
-                    )
-                return tuple(out)
+                    re.append((((word >> half) & mask) ^ sign) - sign)
+                    im.append(((word & mask) ^ sign) - sign)
+                return ComplexVector(re, im, ib, fb)
 
             return unpack_cplx_vec
         sub = _compile_unpack(elem)
