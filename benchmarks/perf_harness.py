@@ -1,53 +1,51 @@
-"""Wall-clock performance harness for the three execution backends.
+"""Wall-clock performance harness for the two execution backends.
 
 Runs the Figure 13 workloads -- every Ogg Vorbis partition (A-F) and every
 ray-tracer partition (A-D) -- plus the multi-domain fabric workload
 (``vorbis_G3``: SW front-end -> HW-imdct/ifft -> HW-window, three engines
 on a routed topology), under the tree-walking reference backend
-(``interp``), the closure-compiled backend with dirty-set scheduling
-(``compiled``) and the source-lowered backend (``source``: one generated
-flat Python module per design, fused engine supersteps -- see
-:mod:`repro.core.pycodegen`), and records per-workload wall-clock seconds,
-rule firings per second and simulated FPGA cycles.
+(``interp``) and the source-lowered backend (``source``: one generated
+flat Python module per design, fused engine supersteps with dirty-set
+scheduling -- see :mod:`repro.core.pycodegen`), and records per-workload
+wall-clock seconds, rule firings per second and simulated FPGA cycles.
 
 Outputs one JSON file per backend next to this script
-(``BENCH_interp.json``, ``BENCH_compiled.json`` and ``BENCH_source.json``)
-so future PRs have a perf trajectory to regress against, and prints a
-comparison table.  The harness also *verifies* the backends agree: every
-workload's :class:`~repro.sim.cosim.CosimResult` (stores statistics, fire
-counts, channel stats) must be bitwise identical across all three,
-otherwise the run fails.
+(``BENCH_interp.json`` and ``BENCH_source.json``) so future PRs have a
+perf trajectory to regress against, and prints a comparison table.  The
+harness also *verifies* the backends agree: every workload's
+:class:`~repro.sim.cosim.CosimResult` (stores statistics, fire counts,
+channel stats) must be bitwise identical across both, otherwise the run
+fails.
 
-Two extra sections ride along:
+Extra sections ride along, all recorded in ``BENCH_source.json``:
 
 * a **transport ablation** (interpreted per-element transport vs. the
-  closure-compiled batch-drain dataplane, rule backend held at
-  ``compiled``), recorded under ``transport_ablation`` in
-  ``BENCH_compiled.json``;
+  generated batch-drain dataplane, rule backend held at ``source``),
+  recorded under ``transport_ablation``, plus a pure-dataplane
+  microbenchmark under ``transport_dataplane``;
 * an optional **sharded sweep** (``--processes N``): the same workload set
   fanned across worker processes by :mod:`repro.sim.shard`, reported as
   sweep wall-clock vs. serial-equivalent compute and recorded under
-  ``sweep`` in ``BENCH_compiled.json``;
+  ``sweep``;
 * a **persistent serving** section: a small-frame Vorbis request stream
   through one resident :class:`~repro.sim.serve.FabricServer`
   (elaborate once, snapshot/reset per request) vs. the
   elaborate-per-request baseline, recording sustained requests/sec and
-  p50/p99 request latency under ``serving`` in ``BENCH_compiled.json``;
+  p50/p99 request latency under ``serving``;
 * a **grouped execution** section: a multi-group workload (independent
   Vorbis pipelines in one design, one fabric group each) run three ways --
   the legacy lockstep loop, the fabric's serially scheduled group
   sub-fabrics (per-group clocks and idle-skip), and
   :func:`repro.sim.shard.run_grouped` fanning the groups of that *single*
-  design across processes -- recorded under ``grouped_execution`` in
-  ``BENCH_compiled.json``.  The serial and process-grouped merged results
+  design across processes -- recorded under ``grouped_execution``.  The serial and process-grouped merged results
   must be bitwise identical (the run fails otherwise) and the lockstep
   baseline must agree on firings, traffic and checksums;
 * a **distributed execution** section: multi-domain (G/H) and multi-group
   (mg_BC/mg_BCF) workloads run under :func:`repro.sim.distrib.run_distributed`
   -- groups/domains in long-lived worker processes, cut links as framed
   wire words over shared-memory rings and socket streams -- against the
-  serial grouped and lockstep schedulers, recorded under ``distributed``
-  in ``BENCH_compiled.json``.  Every distributed result must be bitwise
+  serial grouped and lockstep schedulers, recorded under
+  ``distributed``.  Every distributed result must be bitwise
   identical to the serial grouped run on both carriers.
 
 Usage::
@@ -86,10 +84,7 @@ from repro.apps.vorbis.params import VorbisParams
 from repro.sim.cosim import CosimFabric, Cosimulator
 from repro.sim.shard import SweepTask, run_sweep
 
-BACKENDS = ("interp", "compiled", "source")
-
-#: The backends whose results are differentially verified against ``interp``.
-FAST_BACKENDS = ("compiled", "source")
+BACKENDS = ("interp", "source")
 
 #: Multi-domain fabric workloads: name -> (builder letter, #domains).
 MULTI_DOMAIN = {"vorbis_G3": "G"}
@@ -123,7 +118,7 @@ class TransportStress:
     element back, SW drains the return FIFO in bursts.  Rule work is a
     single add per element, so nearly all simulated activity is credit
     accounting, FIFO draining and message delivery -- exactly what the
-    compiled dataplane lowers to closures, and the worst case for the old
+    generated dataplane lowers to flat code, and the worst case for the old
     per-element tuple re-slicing (queues hundreds of elements deep).
     """
 
@@ -243,13 +238,13 @@ def measure(workload, backend: str, repeats: int, is_fabric: bool = False, trans
 
 
 def transport_ablation(
-    workloads, repeats: int, size: str, compiled_stats: Optional[Dict[str, Any]] = None
+    workloads, repeats: int, size: str, source_stats: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Interpreted vs. compiled transport, rule backend held at ``compiled``.
+    """Interpreted vs. generated transport, rule backend held at ``source``.
 
-    ``compiled_stats`` (the main loop's per-workload measurements of the
-    compiled backend, whose default transport *is* compiled) is reused as
-    the compiled arm, so only the interpreted-transport arm re-simulates.
+    ``source_stats`` (the main loop's per-workload measurements of the
+    source backend, whose default transport *is* source) is reused as the
+    source arm, so only the interpreted-transport arm re-simulates.
     """
     by_name = {name: (workload, is_fabric) for name, workload, is_fabric in workloads}
     by_name["xfer_stress"] = (TransportStress(n_items=STRESS_SIZES[size]), False)
@@ -259,21 +254,21 @@ def transport_ablation(
             continue
         workload, is_fabric = by_name[name]
         stats = {
-            "interp": measure(workload, "compiled", repeats, is_fabric, transport="interp")
+            "interp": measure(workload, "source", repeats, is_fabric, transport="interp")
         }
-        if compiled_stats is not None and name in compiled_stats:
-            stats["compiled"] = compiled_stats[name]
+        if name in source_stats:
+            stats["source"] = source_stats[name]
         else:
-            stats["compiled"] = measure(
-                workload, "compiled", repeats, is_fabric, transport="compiled"
+            stats["source"] = measure(
+                workload, "source", repeats, is_fabric, transport="source"
             )
-        if stats["interp"]["result"] != stats["compiled"]["result"]:
+        if stats["interp"]["result"] != stats["source"]["result"]:
             raise SystemExit(f"transport backends disagree on {name}")
         rows[name] = {
             "interp_transport_seconds": stats["interp"]["wall_seconds"],
-            "compiled_transport_seconds": stats["compiled"]["wall_seconds"],
-            "speedup": stats["interp"]["wall_seconds"] / stats["compiled"]["wall_seconds"],
-            "channel_messages": stats["compiled"]["result"]["channel_messages"],
+            "source_transport_seconds": stats["source"]["wall_seconds"],
+            "speedup": stats["interp"]["wall_seconds"] / stats["source"]["wall_seconds"],
+            "channel_messages": stats["source"]["result"]["channel_messages"],
         }
     return rows
 
@@ -287,7 +282,7 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
     consumer endpoint (returning credits), repeat.  Both transport modes
     move exactly the same messages; the measured quantity is elements/sec
     through the dataplane alone, which is what
-    :func:`repro.core.compile.compile_transport_pump` actually compiled
+    :func:`repro.core.pycodegen.generate_transport_pump` actually generates
     (the end-to-end ablation rows dilute it with rule execution).
     """
     from repro.core.domains import HW, SW
@@ -299,12 +294,12 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
     rows: Dict[str, Any] = {}
     for depth in (16, 256, 1024):
         timings: Dict[str, float] = {}
-        for mode in ("interp", "compiled"):
+        for mode in ("interp", "source"):
             top = Module("top")
             top.add_submodule(Module("swside", domain=SW))
             top.add_submodule(Module("hwside", domain=HW))
             sync = top.add_submodule(SyncFifo("q", UIntT(32), SW, HW, depth=depth))
-            cosim = Cosimulator(Design(top, "dataplane"), backend="compiled", transport=mode)
+            cosim = Cosimulator(Design(top, "dataplane"), backend="source", transport=mode)
             data = sync.data
             src, dst = cosim.store_sw, cosim.store_hw
             burst = tuple(range(depth))
@@ -325,10 +320,10 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
         rows[f"depth_{depth}"] = {
             "elements": moved,
             "interp_seconds": timings["interp"],
-            "compiled_seconds": timings["compiled"],
+            "source_seconds": timings["source"],
             "interp_elements_per_sec": moved / timings["interp"],
-            "compiled_elements_per_sec": moved / timings["compiled"],
-            "speedup": timings["interp"] / timings["compiled"],
+            "source_elements_per_sec": moved / timings["source"],
+            "speedup": timings["interp"] / timings["source"],
         }
     return rows
 
@@ -457,9 +452,9 @@ def grouped_execution(size: str, repeats: int, processes: int = 2) -> Dict[str, 
     Measured for both rule backends: under ``interp`` the win is
     structural (lockstep re-scans every finished group's guards on every
     cycle of the survivors; per-group clocks drop those scans entirely),
-    while under ``compiled`` the dirty-set scheduler already sleeps idle
+    while under ``source`` the dirty-set scheduler already sleeps idle
     groups almost for free and the win is the removed per-iteration
-    cross-group bookkeeping.  The process row reuses the compiled arm;
+    cross-group bookkeeping.  The process row reuses the source arm;
     its wall-clock win materialises on multi-core hosts (pool spawn plus
     CPU contention make it a wash on single-core runners -- the recorded
     numbers say which this was).
@@ -522,23 +517,22 @@ def grouped_execution(size: str, repeats: int, processes: int = 2) -> Dict[str, 
             "grouped_seconds": grouped_seconds,
             "grouped_speedup_vs_lockstep": lock_seconds / grouped_seconds,
         }
-    for backend in BACKENDS[1:]:
-        if asdict(grouped_results["interp"]) != asdict(grouped_results[backend]):
-            raise SystemExit(f"grouped execution backends disagree ({backend})")
+    if asdict(grouped_results["interp"]) != asdict(grouped_results["source"]):
+        raise SystemExit("grouped execution backends disagree")
 
     process_seconds, process_report = best_of(
         lambda: run_grouped(
             build_group_partition, args=(letters, params), processes=processes
         )
     )
-    if asdict(process_report.result) != asdict(grouped_results["compiled"]):
+    if asdict(process_report.result) != asdict(grouped_results["source"]):
         raise SystemExit(
             "process-grouped merged CosimResult diverged from the serial grouped run"
         )
-    rows["fpga_cycles"] = grouped_results["compiled"].fpga_cycles
+    rows["fpga_cycles"] = grouped_results["source"].fpga_cycles
     rows["process_seconds"] = process_seconds
     rows["process_speedup_vs_grouped"] = (
-        rows["compiled"]["grouped_seconds"] / process_seconds
+        rows["source"]["grouped_seconds"] / process_seconds
     )
     rows["cpus"] = os.cpu_count() or 1
     return rows
@@ -601,7 +595,7 @@ def distributed_execution(size: str, repeats: int, processes: int = 2) -> Dict[s
 
         def run_scheduler(scheduler):
             workload = builder(letter, params)
-            fabric = CosimFabric(workload.design, backend="compiled")
+            fabric = CosimFabric(workload.design, backend="source")
             return fabric.run(
                 workload.cosim_done, max_cycles=500_000_000, scheduler=scheduler
             )
@@ -622,7 +616,7 @@ def distributed_execution(size: str, repeats: int, processes: int = 2) -> Dict[s
                 lambda: run_distributed(
                     builder,
                     (letter, params),
-                    backend="compiled",
+                    backend="source",
                     placement=placement,
                     carrier=carrier,
                     processes=processes,
@@ -722,7 +716,7 @@ def serving_benchmark(size: str) -> Dict[str, Any]:
     }
 
 
-def sharded_sweep(size: str, processes: int, backend: str = "compiled") -> Dict[str, Any]:
+def sharded_sweep(size: str, processes: int, backend: str = "source") -> Dict[str, Any]:
     """The full workload set fanned across processes by the shard runner."""
     params = SIZES[size]
     tasks = [
@@ -795,47 +789,31 @@ def main(argv=None) -> int:
     for name, workload, is_fabric in workloads:
         for backend in BACKENDS:
             bench[backend][name] = measure(workload, backend, repeats, is_fabric)
-        for backend in FAST_BACKENDS:
-            if bench[backend][name]["result"] != bench["interp"][name]["result"]:
-                mismatches.append(f"{name}:{backend}")
+        if bench["source"][name]["result"] != bench["interp"][name]["result"]:
+            mismatches.append(name)
 
     # -- report ------------------------------------------------------------
     header = (
-        f"{'workload':<14} {'interp (s)':>11} {'compiled (s)':>13} {'source (s)':>11} "
-        f"{'src/int':>8} {'src/cmp':>8} {'firings/s (source)':>19}"
+        f"{'workload':<14} {'interp (s)':>11} {'source (s)':>11} "
+        f"{'src/int':>8} {'firings/s (source)':>19}"
     )
-    print("\n=== Figure 13 workloads (+ multi-domain fabric): interp vs. compiled vs. source ===")
+    print("\n=== Figure 13 workloads (+ multi-domain fabric): interp vs. source ===")
     print(header)
     print("-" * len(header))
     total = {backend: 0.0 for backend in BACKENDS}
-    src_vs_compiled: Dict[str, float] = {}
     for name, _, _ in workloads:
         ti = bench["interp"][name]["wall_seconds"]
-        tc = bench["compiled"][name]["wall_seconds"]
         ts = bench["source"][name]["wall_seconds"]
         total["interp"] += ti
-        total["compiled"] += tc
         total["source"] += ts
-        src_vs_compiled[name] = tc / ts if ts > 0 else float("inf")
         print(
-            f"{name:<14} {ti:>11.4f} {tc:>13.4f} {ts:>11.4f} "
-            f"{ti / ts:>7.2f}x {tc / ts:>7.2f}x "
+            f"{name:<14} {ti:>11.4f} {ts:>11.4f} {ti / ts:>7.2f}x "
             f"{bench['source'][name]['firings_per_sec']:>18,.0f}"
         )
     print("-" * len(header))
     print(
-        f"{'TOTAL':<14} {total['interp']:>11.4f} {total['compiled']:>13.4f} "
-        f"{total['source']:>11.4f} {total['interp'] / total['source']:>7.2f}x "
-        f"{total['compiled'] / total['source']:>7.2f}x"
-    )
-    fig13 = [n for n, _, _ in workloads if n.startswith(("vorbis_", "raytracer_"))]
-    fast_partitions = sorted(
-        (n for n in fig13 if src_vs_compiled[n] >= 1.25),
-        key=lambda n: -src_vs_compiled[n],
-    )
-    print(
-        f"source >= 1.25x over compiled on {len(fast_partitions)} fig13 partition(s): "
-        + (", ".join(f"{n} ({src_vs_compiled[n]:.2f}x)" for n in fast_partitions) or "none")
+        f"{'TOTAL':<14} {total['interp']:>11.4f} {total['source']:>11.4f} "
+        f"{total['interp'] / total['source']:>7.2f}x"
     )
     if mismatches:
         print(f"\nBACKEND MISMATCH on: {', '.join(mismatches)}")
@@ -843,27 +821,27 @@ def main(argv=None) -> int:
         print("\nAll CosimResult statistics bitwise identical across backends.")
 
     # -- transport ablation ------------------------------------------------
-    ablation = transport_ablation(workloads, repeats, size, compiled_stats=bench["compiled"])
-    print("\n=== Transport dataplane: interpreted vs. compiled (rule backend = compiled) ===")
-    t_header = f"{'workload':<14} {'interp tx (s)':>13} {'compiled tx (s)':>15} {'speedup':>8} {'messages':>9}"
+    ablation = transport_ablation(workloads, repeats, size, bench["source"])
+    print("\n=== Transport dataplane: interpreted vs. source (rule backend = source) ===")
+    t_header = f"{'workload':<14} {'interp tx (s)':>13} {'source tx (s)':>13} {'speedup':>8} {'messages':>9}"
     print(t_header)
     print("-" * len(t_header))
     for name, row in ablation.items():
         print(
             f"{name:<14} {row['interp_transport_seconds']:>13.4f} "
-            f"{row['compiled_transport_seconds']:>15.4f} {row['speedup']:>7.2f}x "
+            f"{row['source_transport_seconds']:>13.4f} {row['speedup']:>7.2f}x "
             f"{row['channel_messages']:>9}"
         )
 
     dataplane = dataplane_microbench(size)
     print("\n=== Dataplane microbenchmark: pure transport throughput (no rule engines) ===")
-    d_header = f"{'config':<12} {'interp (elem/s)':>16} {'compiled (elem/s)':>18} {'speedup':>8}"
+    d_header = f"{'config':<12} {'interp (elem/s)':>16} {'source (elem/s)':>16} {'speedup':>8}"
     print(d_header)
     print("-" * len(d_header))
     for name, row in dataplane.items():
         print(
             f"{name:<12} {row['interp_elements_per_sec']:>16,.0f} "
-            f"{row['compiled_elements_per_sec']:>18,.0f} {row['speedup']:>7.2f}x"
+            f"{row['source_elements_per_sec']:>16,.0f} {row['speedup']:>7.2f}x"
         )
 
     # -- kernel microbenchmark ---------------------------------------------
@@ -978,7 +956,7 @@ def main(argv=None) -> int:
                 for name, stats in bench[backend].items()
             },
         }
-        if backend == "compiled":
+        if backend == "source":
             payload["transport_ablation"] = ablation
             payload["transport_dataplane"] = dataplane
             payload["kernel_microbench"] = kernels_bench
@@ -987,9 +965,6 @@ def main(argv=None) -> int:
             payload["serving"] = serving
             if sweep is not None:
                 payload["sweep"] = sweep
-        elif backend == "source":
-            payload["source_vs_compiled"] = src_vs_compiled
-            payload["fig13_partitions_at_1_25x"] = fast_partitions
         # Quick (CI smoke) runs get their own files so they never clobber
         # the committed full-size trajectory that EXPERIMENTS.md records.
         suffix = "_quick" if size == "quick" else ""

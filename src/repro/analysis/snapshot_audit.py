@@ -16,7 +16,7 @@ manifest** that classifies each attribute as one of:
 * ``reset`` -- transient run state that ``restore()`` reinitialises to a
   constant (so a snapshot need not carry it);
 * ``config`` -- elaboration-time state that never mutates during a run
-  (rules, schedules, compiled closures, layouts, platform parameters);
+  (rules, schedules, generated functions, layouts, platform parameters);
 * ``cache`` -- memoisation that is semantically transparent (rebuilding it
   yields the same values, e.g. the fabric's owner-store resolution);
 * ``children`` -- owned sub-objects the audit recurses into.
@@ -159,9 +159,7 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "evaluator",
             "backend",
             "name",
-            "_use_dirty",
-            "_count_fns",
-            "compiled",
+            "optimized",
             # Source backend: generated attempt functions, their module, and
             # the fused superstep installed as an instance attribute.  All
             # pre-bind only identity-stable containers, so restore() keeps
@@ -191,7 +189,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "evaluator",
             "backend",
             "name",
-            "_use_dirty",
             "_exec",
             "_read_sets",
             "_write_sets",

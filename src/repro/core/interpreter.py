@@ -14,12 +14,13 @@ and that partitioned designs are observationally equivalent to the original.
 
 Two execution backends implement the same semantics:
 
-* ``backend="interp"`` (default) walks the rule ASTs through
+* ``backend="interp"`` walks the rule ASTs through
   :class:`~repro.core.semantics.Evaluator` -- the semantic reference oracle;
-* ``backend="compiled"`` fires each rule through its closure-compiled form
-  (:mod:`repro.core.compile`), which skips the per-node dispatch entirely.
+* ``backend="source"`` (default) fires each rule through its generated flat
+  Python function (:mod:`repro.core.pycodegen`), which skips the per-node
+  dispatch entirely.
 
-The compiled backend additionally uses *dirty-set scheduling*
+The source backend additionally uses *dirty-set scheduling*
 (:class:`~repro.core.scheduler.RuleWakeup`): a rule whose guard failed is
 not re-evaluated until a register in its read set is written.  Skipped
 attempts still count as guard failures (they are guaranteed failures), so
@@ -34,12 +35,19 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.compile import raise_for_missing_register, rule_exec
 from repro.core.errors import GuardFail, SchedulingError
 from repro.core.module import Design, Register, Rule
 from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend, generate_rule_execs
 from repro.core.scheduler import RuleWakeup
-from repro.core.semantics import Evaluator, EvalHooks, RuleOutcome, Store, commit, try_rule
+from repro.core.semantics import (
+    Evaluator,
+    EvalHooks,
+    RuleOutcome,
+    Store,
+    commit,
+    raise_for_missing_register,
+    try_rule,
+)
 
 
 class Simulator:
@@ -59,12 +67,11 @@ class Simulator:
         the software cost model).  Installing hooks disables dirty-set
         skipping so the observer sees every attempted rule evaluation.
     backend:
-        ``"interp"`` (tree-walking reference), ``"compiled"`` (closure
-        compiled; observationally equivalent and much faster) or
-        ``"source"`` (flat generated Python; observationally equivalent
-        and faster still).  ``None`` resolves to
+        ``"interp"`` (tree-walking reference) or ``"source"`` (flat
+        generated Python; observationally equivalent and much faster).
+        ``None`` resolves to
         :func:`~repro.core.pycodegen.default_rule_backend` (the
-        ``REPRO_RULE_BACKEND`` environment variable, else ``"interp"``).
+        ``REPRO_RULE_BACKEND`` environment variable, else ``"source"``).
     """
 
     def __init__(
@@ -90,11 +97,11 @@ class Simulator:
         self.evaluator = Evaluator(max_loop_iterations=max_loop_iterations)
         self.rules: List[Rule] = list(design.all_rules())
         self._index_of: Dict[Rule, int] = {r: i for i, r in enumerate(self.rules)}
-        # Dirty-set scheduling rides with the compiled backend (the interp
+        # Dirty-set scheduling rides with the source backend (the interp
         # backend stays the untouched exhaustive-scan reference), and its
         # skipping is exact only when nobody observes the skipped
         # (guaranteed-failing) evaluations.
-        self._skip_sleeping = backend != "interp" and hooks is None
+        self._skip_sleeping = backend == "source" and hooks is None
         store = design.initial_store()
         if self._skip_sleeping:
             self._wakeup: Optional[RuleWakeup] = RuleWakeup(self.rules)
@@ -107,8 +114,6 @@ class Simulator:
             self._exec, self._gen = generate_rule_execs(
                 self.rules, design.name, max_loop_iterations
             )
-        elif backend == "compiled":
-            self._exec = [rule_exec(r, max_loop_iterations) for r in self.rules]
         else:
             self._exec = []
         self._priority_order: List[Rule] = sorted(
@@ -148,7 +153,7 @@ class Simulator:
 
     def _attempt(self, rule: Rule) -> Optional[Dict[Register, Any]]:
         """Evaluate ``rule``; its updates if the guard held, else ``None``."""
-        if self.backend != "interp":
+        if self.backend == "source":
             read = self.store.__getitem__
             try:
                 if self.hooks is not None:

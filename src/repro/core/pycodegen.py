@@ -1,26 +1,28 @@
 """Source-lowered execution tier: flat generated Python per rule and route.
 
-The closure backend (:mod:`repro.core.compile`) already removed the tree
-walk, but every rule firing still pays a chain of nested closure calls,
-tuple env-frame indexing and per-attempt dispatch.  This module is the next
-rung of the performance ladder: the classic template-JIT move of lowering
-each *already elaborated* ``Expr``/``Action`` tree once to flat Python
-source -- operators inlined as Python infix, environment frames become
-local variables, registers / native methods / kernel functions resolved to
+The tree-walking :class:`~repro.core.semantics.Evaluator` (``interp``)
+re-dispatches over the AST on every firing.  This module is the fast tier
+beside it: the classic template-JIT move of lowering each *already
+elaborated* ``Expr``/``Action`` tree once to flat Python source --
+operators inlined as Python infix, environment frames become local
+variables, registers / native methods / kernel functions resolved to
 direct names in the module namespace, ``GuardFail`` raised from prebuilt
 singletons -- then ``exec``-compiling the module at elaboration time.
 
-Three generation modes reproduce the three closure modes bit-for-bit:
+Four generation modes reproduce the tree walker's observations
+bit-for-bit:
 
 * ``fast``    -- hook-free evaluation (``Simulator`` fast path);
 * ``hooked``  -- generic :class:`~repro.core.semantics.EvalHooks` callbacks,
-  with the closure tier's convention that ``on_node`` fires only for
-  cost-bearing nodes (BinOp/UnOp/Mux/FieldSelect);
+  except that ``on_node`` fires only for cost-bearing nodes
+  (BinOp/UnOp/Mux/FieldSelect), so ``SwCostAccumulator.cpu_cycles`` is
+  reproduced exactly while ``nodes_visited`` counts fewer nodes;
 * ``latency`` -- kernel/method hooks only (the HW engine's
   ``HwLatencyAccumulator``);
-* ``count``   -- :class:`~repro.core.compile.CountingCompiler`'s folded
-  cost accumulation: straight-line subtrees collapse to one integer add,
-  dynamic subtrees charge at exactly the same program points.
+* ``count``   -- folded ``SwCostAccumulator`` cost accumulation against a
+  concrete :class:`~repro.sim.costmodel.SwCostParams`: straight-line
+  subtrees collapse to one integer add (:func:`_static_cost`), dynamic
+  subtrees charge at exactly the same program points.
 
 On top of the per-rule functions the engine supersteps themselves are
 generated (``generate_sw_step`` / ``generate_hw_step``): the dirty-set
@@ -31,9 +33,10 @@ Rebindable engine state (``busy_until``, ``_pending_updates``, counters)
 is always accessed through ``self`` so the snapshot/restore identity
 contract keeps holding.
 
-Anything the lowerer cannot confidently translate falls back, per rule, to
-the closure backend (still bitwise identical), so coverage can grow
-without ever risking parity.
+Every ``Expr``/``Action`` node class and operator has a lowering; a node
+the lowerer does not know (a foreign subclass) is an
+:class:`~repro.core.errors.ElaborationError` naming the node class and the
+rule, raised when the engine is constructed.
 
 Debugging: set ``REPRO_DUMP_SOURCE=<dir>`` to write every generated module
 to disk; all modules are registered with :mod:`linecache` so tracebacks
@@ -62,13 +65,6 @@ from repro.core.action import (
     Seq,
     WhenA,
 )
-from repro.core.compile import (
-    CountingCompiler,
-    _seq_never_reads_back,
-    compiled_rule_exec,
-    raise_for_missing_register,
-    rule_exec,
-)
 from repro.core.errors import (
     DoubleWriteError,
     ElaborationError,
@@ -90,6 +86,7 @@ from repro.core.expr import (
     WhenE,
 )
 from repro.core.module import Method, Module, PrimitiveModule, Rule
+from repro.core.semantics import raise_for_missing_register
 
 __all__ = [
     "GeneratedModule",
@@ -104,18 +101,28 @@ __all__ = [
     "generate_transport_delivery",
 ]
 
-#: Rule-execution backends the engines accept.
-VALID_BACKENDS = ("interp", "compiled", "source")
+#: Rule-execution backends the engines accept: the tree-walking oracle and
+#: the generated-source tier.
+VALID_BACKENDS = ("interp", "source")
 
 
 def default_rule_backend() -> str:
     """The backend engines use when the caller does not pick one.
 
-    ``REPRO_RULE_BACKEND`` overrides the historical default (``interp``) so
-    a CI leg can push the whole tier-1 suite through the source tier.
+    ``source`` unless ``REPRO_RULE_BACKEND`` names another valid backend (a
+    CI leg runs the whole tier-1 suite through the ``interp`` oracle that
+    way).  Unset or empty means the default; any other value is an error,
+    so a stale setting can never silently run a different tier.
     """
     name = os.environ.get("REPRO_RULE_BACKEND", "").strip().lower()
-    return name if name in VALID_BACKENDS else "interp"
+    if not name:
+        return "source"
+    if name not in VALID_BACKENDS:
+        raise ValueError(
+            f"REPRO_RULE_BACKEND={name!r} is not a rule backend; "
+            f"expected one of {', '.join(VALID_BACKENDS)}"
+        )
+    return name
 
 
 # --------------------------------------------------------------------------
@@ -255,10 +262,6 @@ def _reindent(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
 
 
-class _Unsupported(Exception):
-    """Raised when a subtree cannot be lowered; callers fall back to closures."""
-
-
 # --------------------------------------------------------------------------
 # expression / action lowering
 # --------------------------------------------------------------------------
@@ -272,32 +275,108 @@ _INFIX = {
 _UNARY = {"-": "-", "~": "~", "!": "not "}
 
 
+def _static_cost(node: Any, scope: Dict[str, bool], p: Any) -> Optional[int]:
+    """Total CPU cost of ``node`` under ``p`` if it is straight-line, else ``None``.
+
+    Straight-line means: evaluation always visits every sub-node exactly
+    once (no Mux/short-circuit/If branches, no loops), cannot raise a guard
+    failure, forces no lazy bindings, and all kernel costs are constants.
+    ``scope`` maps each bound variable to whether it is a lazy (thunk) let
+    binding.  Method calls are never straight-line (their implicit guards
+    may fail and their native bodies have dynamic write counts).  A folded
+    constant is only added when its subtree is reached, and a straight-line
+    subtree cannot fail partway, so the totals equal the tree walker's
+    ``cpu_cycles`` on guard-failure paths too.
+    """
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Var):
+        lazy = scope.get(node.name)
+        return None if lazy is None or lazy else 0
+    if isinstance(node, RegRead):
+        return p.reg_read
+    if isinstance(node, (UnOp, FieldSelect)):
+        inner = _static_cost(node.operand, scope, p)
+        return None if inner is None else p.alu_op + inner
+    if isinstance(node, BinOp):
+        if node.op in ("&&", "||"):
+            return None
+        left = _static_cost(node.left, scope, p)
+        if left is None:
+            return None
+        right = _static_cost(node.right, scope, p)
+        return None if right is None else p.alu_op + left + right
+    if isinstance(node, KernelCall):
+        if callable(node.sw_cycles):
+            return None
+        total = int(node.sw_cycles) + p.kernel_dispatch
+        for arg in node.args:
+            inner = _static_cost(arg, scope, p)
+            if inner is None:
+                return None
+            total += inner
+        return total
+    if isinstance(node, NoAction):
+        return 0
+    if isinstance(node, RegWrite):
+        inner = _static_cost(node.value, scope, p)
+        return None if inner is None else p.reg_write + inner
+    if isinstance(node, (Par, Seq)):
+        total = 0
+        for sub in node.actions:
+            inner = _static_cost(sub, scope, p)
+            if inner is None:
+                return None
+            total += inner
+        return total
+    # Mux, WhenE/WhenA, LetE/LetA, IfA, Loop, LocalGuard, method calls:
+    # branching, failing, lazy or dynamic -- never straight-line.
+    return None
+
+
+def _seq_never_reads_back(actions) -> bool:
+    """Whether no element of a ``Seq`` reads a register an earlier one writes.
+
+    Uses the conservative static read/write sets, so ``True`` guarantees the
+    sequential overlay can never be consulted and the incoming read function
+    may be threaded through unchanged.
+    """
+    from repro.core.analysis import read_set, write_set
+
+    written: set = set()
+    for sub in actions:
+        if written and (written & read_set(sub)):
+            return False
+        written |= write_set(sub)
+    return True
+
+
 class _Lowerer:
     """Lowers one rule (or method) tree into a flat generated function.
 
     ``mode`` is one of ``fast``/``hooked``/``latency``/``count``; the
-    emitted statements reproduce the corresponding closure compiler's
-    evaluation order, hook order and (for ``count``) charge points exactly.
+    emitted statements reproduce the tree walker's evaluation order, hook
+    order and (for ``count``) cost totals exactly.  ``where`` names the
+    rule being lowered, for the error raised on a node with no lowering.
     """
 
     def __init__(
         self,
         module: _ModuleBuilder,
         mode: str,
+        where: str,
         max_loop_iterations: int = 1_000_000,
         sw_params: Any = None,
         methods: Optional[Dict[Tuple[int, bool], Tuple[str, List[str]]]] = None,
     ):
         self.module = module
         self.mode = mode
+        self.where = where
         self.all_hooks = mode == "hooked"
         self.kernel_hooks = mode in ("hooked", "latency")
         self.counting = mode == "count"
         self.max_loop_iterations = max_loop_iterations
         self.params = sw_params
-        self._static = (
-            CountingCompiler(sw_params, max_loop_iterations) if self.counting else None
-        )
         # (id(method), is_action) -> (guard_fn_name, body_fn_name, param names)
         self.methods = methods if methods is not None else {}
         self.w: Optional[_FnWriter] = None
@@ -311,6 +390,23 @@ class _Lowerer:
 
     # -- plumbing ----------------------------------------------------------
 
+    def _sub(self) -> "_Lowerer":
+        """A lowerer for a nested generated function (same mode and rule)."""
+        return _Lowerer(
+            self.module,
+            self.mode,
+            self.where,
+            self.max_loop_iterations,
+            self.params,
+            self.methods,
+        )
+
+    def _unlowerable(self, node: Any) -> ElaborationError:
+        return ElaborationError(
+            f"rule {self.where}: no Python lowering for node class "
+            f"{type(node).__name__} ({node!r})"
+        )
+
     def _capture(self, fn: Callable[[], str]) -> Tuple[List[str], str]:
         saved = self.w.lines
         self.w.lines = []
@@ -322,8 +418,8 @@ class _Lowerer:
     def _materialize(self, parts: List[Tuple[List[str], str]]) -> List[str]:
         """Emit each part's statements and pin its value into a temp, in order.
 
-        Used whenever sibling operands cannot all stay inline: the closure
-        tier evaluates operands strictly left to right, and hooks / charges /
+        Used whenever sibling operands cannot all stay inline: the tree
+        walker evaluates operands strictly left to right, and hooks / charges /
         guard failures make that order observable.
         """
         names = []
@@ -349,8 +445,8 @@ class _Lowerer:
             self.w.charge(self.sink, amount)
 
     def _static_cost(self, node: Any) -> Optional[int]:
-        scope = {name: (0, kind == "thunk") for name, (kind, _) in self.scope.items()}
-        return self._static.static_cost(node, scope)
+        scope = {name: kind == "thunk" for name, (kind, _) in self.scope.items()}
+        return _static_cost(node, scope, self.params)
 
     def _const(self, value: Any) -> str:
         if value is None or value is True or value is False:
@@ -409,10 +505,7 @@ class _Lowerer:
                 w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
             self._charge_alu()
             (operand,) = self._operands([expr.operand])
-            op = _UNARY.get(expr.op)
-            if op is None:
-                raise _Unsupported(f"unary operator {expr.op!r}")
-            return f"({op}{operand})"
+            return f"({_UNARY[expr.op]}{operand})"
 
         if isinstance(expr, BinOp):
             if expr.op in ("&&", "||"):
@@ -421,10 +514,7 @@ class _Lowerer:
                 w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
             self._charge_alu()
             left, right = self._operands([expr.left, expr.right])
-            op = _INFIX.get(expr.op)
-            if op is None:
-                raise _Unsupported(f"binary operator {expr.op!r}")
-            return f"({left} {op} {right})"
+            return f"({left} {_INFIX[expr.op]} {right})"
 
         if isinstance(expr, Mux):
             if self.all_hooks:
@@ -492,7 +582,7 @@ class _Lowerer:
         if isinstance(expr, MethodCallE):
             return self._lower_method_call(expr, is_action=False)
 
-        raise _Unsupported(f"expression node {type(expr).__name__}")
+        raise self._unlowerable(expr)
 
     def _charge_alu(self) -> None:
         if self.counting and self.charging:
@@ -525,9 +615,9 @@ class _Lowerer:
     def _lower_let(self, name: str, value: Expr) -> str:
         """Emit a lazy binding; returns the local holding the thunk cell.
 
-        The closure tier's ``_Cell`` captures the binding-site ``read`` and
-        charge cell; the generated thunk does the same by passing them into
-        a module-level value function explicitly, so a thunk forced under a
+        Like the tree walker's lazy ``_Thunk``, the generated thunk captures
+        the binding-site ``read`` (and charge cell) by passing them into a
+        module-level value function explicitly, so a thunk forced under a
         ``Seq``/``Loop`` overlay still reads through the binding-site view
         and charges the binding-site cell.
         """
@@ -563,19 +653,13 @@ class _Lowerer:
         The function's signature is ``(read, _ctx, *free_locals)`` where
         ``_ctx`` is the hooks object (hooked/latency), the charge cell list
         (count) or None (fast); call sites pass the binding-site values
-        explicitly, which reproduces the closure tier's creation-time
+        explicitly, which reproduces the tree walker's creation-time
         capture without relying on late-bound outer locals.
         """
         free_nodes = self._free_scope(node)
         fn = self.module.fn_name(stem)
         params = ["read", "_ctx"] + [local for _, (_, local) in free_nodes]
-        sub = _Lowerer(
-            self.module,
-            self.mode,
-            self.max_loop_iterations,
-            self.params,
-            self.methods,
-        )
+        sub = self._sub()
         sub.scope = {name: entry for name, entry in free_nodes}
         sub.w = _FnWriter(fn, params)
         if self.all_hooks or self.kernel_hooks:
@@ -785,7 +869,7 @@ class _Lowerer:
         if isinstance(action, MethodCallA):
             return self._lower_method_call(action, is_action=True)
 
-        raise _Unsupported(f"action node {type(action).__name__}")
+        raise self._unlowerable(action)
 
     def _emit_overlay_read(self, overlay: str) -> str:
         """Emit a sequential-overlay read view over the current read fn."""
@@ -896,13 +980,7 @@ class _Lowerer:
             (guard_name, method.guard, False),
             (body_name, method.body, is_action),
         ):
-            sub = _Lowerer(
-                self.module,
-                self.mode,
-                self.max_loop_iterations,
-                self.params,
-                self.methods,
-            )
+            sub = self._sub()
             sub.scope = {
                 p: ("strict", param_locals[i]) for i, p in enumerate(method.params)
             }
@@ -934,7 +1012,7 @@ class _Lowerer:
 
 _FORCE_HELPER = '''\
 def _force(cell):
-    """Force a lazy let binding (mirrors compile._Cell's memoised thunks)."""
+    """Force a lazy let binding (mirrors semantics._Thunk's memoisation)."""
     if cell[0]:
         return cell[1]
     value = cell[2](cell[3], *cell[4])
@@ -953,39 +1031,26 @@ def _add_force_helper(module: _ModuleBuilder) -> None:
 def _lower_rule_fn(
     module: _ModuleBuilder,
     name: str,
-    node: Any,
-    is_action: bool,
+    rule: Rule,
     mode: str,
     max_loop_iterations: int,
-    sw_params: Any = None,
-    methods: Optional[Dict] = None,
+    methods: Dict,
 ) -> None:
-    """Emit ``def name(read, hooks_or_cell)`` evaluating ``node`` flat."""
-    low = _Lowerer(module, mode, max_loop_iterations, sw_params, methods)
-    if mode == "count":
-        low.w = _FnWriter(name, ["read", "_cl"])
-        low.w.emit("_cc = 0")
-        low.sink = "_cc"
-    elif mode in ("hooked", "latency"):
-        low.w = _FnWriter(name, ["read", "hooks"])
-    else:
-        low.w = _FnWriter(name, ["read"])
-    result = low.lower_action(node) if is_action else low.lower_expr(node)
-    if mode == "count":
-        low.w.emit("_cl[0] += _cc")
-        low.w.emit(f"return {result}")
-    else:
-        low.w.emit(f"return {result}")
+    """Emit ``def name(read[, hooks])`` evaluating ``rule``'s action flat."""
+    low = _Lowerer(module, mode, rule.full_name, max_loop_iterations, None, methods)
+    params = ["read"] if mode == "fast" else ["read", "hooks"]
+    low.w = _FnWriter(name, params)
+    result = low.lower_action(rule.action)
+    low.w.emit(f"return {result}")
     module.add(low.w.lines)
 
 
 class SourceRuleExec:
     """Generated fast/hooked/latency entry points for one rule.
 
-    Drop-in for :class:`repro.core.compile.RuleExec` at the call sites the
-    engines use (``fast(read)``, ``hooked(read, hooks)``,
-    ``latency(read, hooks)``); the attributes hold plain generated
-    functions, with closure fallbacks per mode when lowering declined.
+    The engines call ``fast(read)``, ``hooked(read, hooks)`` and
+    ``latency(read, hooks)``; each attribute holds a plain generated
+    function, or ``None`` for a mode that was not generated.
     """
 
     __slots__ = ("rule", "fast", "hooked", "latency")
@@ -1003,38 +1068,31 @@ def generate_rule_execs(
     max_loop_iterations: int = 1_000_000,
     modes: Tuple[str, ...] = ("fast", "hooked", "latency"),
 ) -> Tuple[List[SourceRuleExec], GeneratedModule]:
-    """Generate flat executors for raw rule actions (Simulator / HwEngine)."""
+    """Generate flat executors for raw rule actions (Simulator / HwEngine).
+
+    Raises :class:`~repro.core.errors.ElaborationError` if a rule holds a
+    node with no lowering.
+    """
     module = _ModuleBuilder(f"{design_name}.rules")
     _add_force_helper(module)
-    specs: List[Dict[str, Any]] = []
     methods: Dict[str, Dict] = {mode: {} for mode in modes}
     for i, rule in enumerate(rules):
-        spec: Dict[str, Any] = {"rule": rule}
         for mode in modes:
-            fn = f"_rule_{mode}_{i}"
-            try:
-                _lower_rule_fn(
-                    module, fn, rule.action, True, mode,
-                    max_loop_iterations, None, methods[mode],
-                )
-                spec[mode] = fn
-            except _Unsupported:
-                spec[mode] = None
-        specs.append(spec)
+            _lower_rule_fn(
+                module, f"_rule_{mode}_{i}", rule, mode,
+                max_loop_iterations, methods[mode],
+            )
     gen = module.build()
     ns = gen.namespace
-    execs = []
-    for spec in specs:
-        rule = spec["rule"]
-        fallback = rule_exec(rule, max_loop_iterations)
-        execs.append(
-            SourceRuleExec(
-                rule,
-                ns[spec["fast"]] if spec.get("fast") else fallback.fast,
-                ns[spec["hooked"]] if spec.get("hooked") else fallback.hooked,
-                ns[spec["latency"]] if spec.get("latency") else fallback.latency,
-            )
+    execs = [
+        SourceRuleExec(
+            rule,
+            ns.get(f"_rule_fast_{i}"),
+            ns.get(f"_rule_hooked_{i}"),
+            ns.get(f"_rule_latency_{i}"),
         )
+        for i, rule in enumerate(rules)
+    ]
     return execs, gen
 
 
@@ -1050,149 +1108,93 @@ def _float_lit(value: float) -> str:
 def _emit_attempt(
     module: _ModuleBuilder,
     name: str,
-    compiled_rule: Any,
+    optimized: Any,
     params: Any,
     config: Any,
     max_loop_iterations: int,
     methods: Dict,
-) -> bool:
+) -> None:
     """Emit ``def name(read)`` -> ``(cpu_cost, updates_or_None)``.
 
     The whole of ``SwEngine._attempt`` folds into one generated function:
     guard, setup, body and commit costs are pre-folded constants, the
-    guard/body trees are lowered inline in counting mode, and the
-    ``GuardFail`` control flow stays in-frame.  Returns False when lowering
-    declined (caller installs the closure fallback).
+    guard/body trees of the optimised rule are lowered inline in counting
+    mode, and the ``GuardFail`` control flow stays in-frame.
     """
-    cr = compiled_rule
+    cr = optimized
     w = _FnWriter(name, ["read"])
     w.emit("_cl = [0]")
     w.emit("_cc = 0")
     w.emit("try:")
-    low = _Lowerer(module, "count", max_loop_iterations, params, methods)
+    low = _Lowerer(
+        module, "count", cr.rule.full_name, max_loop_iterations, params, methods
+    )
     low.w = w
     w.indent += 1
-    try:
-        guard_stmts, guard = low._capture(lambda: low.lower_expr(cr.guard))
-        w.emit_lines(guard_stmts)
-        w.emit(f"_g = {guard}")
-        w.indent -= 1
-        w.emit("except GuardFail:")
-        w.emit("    _g = False")
-        w.emit(f"_cost = {_float_lit(params.rule_attempt_overhead)} + _cc + _cl[0]")
-        w.emit("if not _g:")
-        w.emit("    return _cost, None")
-        if cr.can_fail:
-            setup = 0.0
-            if config.inline_methods:
-                setup += params.branch_guard_handling
-            else:
-                setup += params.try_catch_setup
-            setup += len(cr.shadow_registers) * params.shadow_per_register
-            w.emit(f"_cost += {_float_lit(setup)}")
-        w.emit("_cl[0] = 0")
-        w.emit("_cc = 0")
-        w.emit("try:")
-        w.indent += 1
-        body_stmts, body = low._capture(lambda: low.lower_action(cr.body))
-        w.emit_lines(body_stmts)
-        w.emit(f"_u = {body}")
-        w.indent -= 1
-        w.emit("except GuardFail:")
-        w.emit("    _cost += _cc + _cl[0]")
-        w.emit(f"    _cost += {params.rollback_base}")
-        w.emit(
-            f"    _cost += {len(cr.shadow_registers) * params.rollback_per_register}"
-        )
-        w.emit("    return _cost, None")
-        w.emit("_cost += _cc + _cl[0]")
-        if cr.can_fail:
-            w.emit(f"_cost += len(_u) * {params.commit_per_register}")
-        w.emit("return _cost, _u")
-    except _Unsupported:
-        return False
-    module.add(w.lines)
-    return True
-
-
-def _fallback_attempt(
-    compiled_rule: Any, params: Any, config: Any, max_loop_iterations: int
-):
-    """Closure-backed attempt with the same ``(cost, updates|None)`` contract."""
-    cr = compiled_rule
-    guard_fn, body_fn = compiled_rule_exec(cr, max_loop_iterations).counting_fns(
-        params
-    )
-    overhead = float(params.rule_attempt_overhead)
-    setup = 0.0
+    guard_stmts, guard = low._capture(lambda: low.lower_expr(cr.guard))
+    w.emit_lines(guard_stmts)
+    w.emit(f"_g = {guard}")
+    w.indent -= 1
+    w.emit("except GuardFail:")
+    w.emit("    _g = False")
+    w.emit(f"_cost = {_float_lit(params.rule_attempt_overhead)} + _cc + _cl[0]")
+    w.emit("if not _g:")
+    w.emit("    return _cost, None")
     if cr.can_fail:
+        setup = 0.0
         if config.inline_methods:
             setup += params.branch_guard_handling
         else:
             setup += params.try_catch_setup
         setup += len(cr.shadow_registers) * params.shadow_per_register
-    rollback_base = params.rollback_base
-    rollback = len(cr.shadow_registers) * params.rollback_per_register
-    commit_per = params.commit_per_register
-    can_fail = cr.can_fail
-
-    def attempt(read):
-        cell = [0]
-        try:
-            ok = guard_fn((), read, cell)
-        except GuardFail:
-            ok = False
-        cost = overhead + cell[0]
-        if not ok:
-            return cost, None
-        if can_fail:
-            cost += setup
-        cell = [0]
-        try:
-            updates = body_fn((), read, cell)
-        except GuardFail:
-            cost += cell[0]
-            cost += rollback_base
-            cost += rollback
-            return cost, None
-        cost += cell[0]
-        if can_fail:
-            cost += len(updates) * commit_per
-        return cost, updates
-
-    return attempt
+        w.emit(f"_cost += {_float_lit(setup)}")
+    w.emit("_cl[0] = 0")
+    w.emit("_cc = 0")
+    w.emit("try:")
+    w.indent += 1
+    body_stmts, body = low._capture(lambda: low.lower_action(cr.body))
+    w.emit_lines(body_stmts)
+    w.emit(f"_u = {body}")
+    w.indent -= 1
+    w.emit("except GuardFail:")
+    w.emit("    _cost += _cc + _cl[0]")
+    w.emit(f"    _cost += {params.rollback_base}")
+    w.emit(
+        f"    _cost += {len(cr.shadow_registers) * params.rollback_per_register}"
+    )
+    w.emit("    return _cost, None")
+    w.emit("_cost += _cc + _cl[0]")
+    if cr.can_fail:
+        w.emit(f"_cost += len(_u) * {params.commit_per_register}")
+    w.emit("return _cost, _u")
+    module.add(w.lines)
 
 
 def generate_counting_attempts(
     rules: List[Rule],
-    compiled: Dict[Rule, Any],
+    optimized: Dict[Rule, Any],
     params: Any,
     config: Any,
     design_name: str,
     max_loop_iterations: int = 1_000_000,
 ) -> Tuple[List[Callable], GeneratedModule]:
-    """Generated ``attempt(read) -> (cost, updates|None)`` per rule."""
+    """Generated ``attempt(read) -> (cost, updates|None)`` per rule.
+
+    ``optimized`` maps each rule to its :class:`~repro.core.optimize.CompiledRule`
+    (lifted guard, residual body).  Raises
+    :class:`~repro.core.errors.ElaborationError` if a rule holds a node with
+    no lowering.
+    """
     module = _ModuleBuilder(f"{design_name}.attempts")
     _add_force_helper(module)
     methods: Dict = {}
-    emitted: List[Optional[str]] = []
     for i, rule in enumerate(rules):
-        name = f"_attempt_{i}"
-        ok = _emit_attempt(
-            module, name, compiled[rule], params, config,
+        _emit_attempt(
+            module, f"_attempt_{i}", optimized[rule], params, config,
             max_loop_iterations, methods,
         )
-        emitted.append(name if ok else None)
     gen = module.build()
-    attempts = []
-    for i, rule in enumerate(rules):
-        if emitted[i] is not None:
-            attempts.append(gen.namespace[emitted[i]])
-        else:
-            attempts.append(
-                _fallback_attempt(compiled[rule], params, config, max_loop_iterations)
-            )
-    return attempts, gen
+    return [gen.namespace[f"_attempt_{i}"] for i in range(len(rules))], gen
 
 
 def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
@@ -1406,13 +1408,17 @@ def generate_transport_pump(
     occupancy_of=None,
     name: str = "route",
 ) -> Callable[[float], bool]:
-    """Generated analogue of :func:`~repro.core.compile.compile_transport_pump`.
+    """Generated transport pump for one route (producer side).
 
     Per-route constants (credit depth, words per element, occupancy and
     latency cycles, the vc id) are inlined as literals; the mutable
-    collaborators (stores, pool rings, stats) are pre-bound names.  The
-    emitted control flow mirrors the closure pump statement for statement,
-    so every stat commit and stall count lands identically.
+    collaborators (stores, pool rings, stats) are pre-bound names.  One call
+    moves as many queued elements as the credit window allows, as a batch;
+    every stat commit and stall count lands exactly where the reference
+    transport (``sim/cosim.py:_pump_routes_interp``) puts it.
+    ``occupancy_of`` replaces the consumer FIFO's length in the credit window
+    (a distributed member reads the remote consumer's occupancy from a
+    shared cell); routes without it generate byte-identical source.
     """
     module = _ModuleBuilder(f"{name}.pump")
     b = module.bindings
@@ -1498,7 +1504,15 @@ def generate_transport_delivery(
     charge_driver=None,
     name: str = "route",
 ) -> Callable[[float], bool]:
-    """Generated analogue of :func:`~repro.core.compile.compile_transport_delivery`."""
+    """Generated delivery sweep for one link direction (consumer side).
+
+    Delivers every message due by ``now`` in pool order.  Hardware targets
+    take a run of consecutive same-vc messages as one batch
+    (``deliver_batch``); software targets take them one at a time with a
+    driver charge each (``charge_driver``), because every charge makes the
+    engine busy, which parks the next delivery -- batching would change
+    credit timing.
+    """
     if deliver_batch is not None and charge_driver is not None:
         raise ValueError("deliver_batch and charge_driver are mutually exclusive")
     module = _ModuleBuilder(f"{name}.deliver")

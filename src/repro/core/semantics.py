@@ -406,6 +406,22 @@ def try_rule(
     return RuleOutcome(rule, fired=True, updates=updates)
 
 
+def raise_for_missing_register(exc: KeyError) -> None:
+    """Convert a store-miss ``KeyError`` to :func:`try_rule`'s diagnostic.
+
+    The generated engines read through ``store.__getitem__`` for speed; when
+    the missing key is a register this re-raises the same
+    :class:`SimulationError` the interp backend's ``try_rule`` produces.
+    Other ``KeyError``\\ s (e.g. a struct field select) return to the caller,
+    which should re-raise.
+    """
+    key = exc.args[0] if exc.args else None
+    if isinstance(key, Register):
+        raise SimulationError(
+            f"register {key.full_name} is not part of this store"
+        ) from None
+
+
 def commit(store: Store, updates: Updates) -> None:
     """Apply a rule's updates to the store (the commit phase of Section 6.2)."""
     store.update(updates)

@@ -27,7 +27,7 @@ share no synchronizer (transitively) are fully independent by the paper's
 semantics, so each connected component of the cut graph
 (:meth:`~repro.core.partition.Partitioning.independent_groups`) gets its
 own :class:`_GroupFabric` -- its own clock, delivery routes and transport
-closures.  The default scheduler runs the groups serially, each with its
+functions.  The default scheduler runs the groups serially, each with its
 own idle-skip (a group stalled on the bus never drags the others through
 empty cycles); :mod:`repro.sim.shard` fans the same group sub-fabrics out
 across worker processes.  Per-group results combine under the documented
@@ -35,17 +35,14 @@ deterministic rules of :meth:`CosimResult.merge`, and on single-group
 designs (every two-partition workload) the group loop *is* the historical
 loop, bitwise identical to the pre-decomposition fabric.
 
-Transport mirrors rule execution's backend ladder: ``transport="interp"``
-is the per-synchronizer reference bookkeeping; ``transport="compiled"``
-lowers each route to a closure at elaboration
-(:func:`~repro.core.compile.compile_transport_pump` /
-:func:`~repro.core.compile.compile_transport_delivery`: pre-resolved
-endpoint stores, pre-computed credit arithmetic, prebuilt delivery
-callbacks, batch FIFO draining); ``transport="source"`` generates flat
-Python per route with the layout constants inlined as literals
+Transport has the same two tiers as rule execution: ``transport="interp"``
+is the per-synchronizer reference bookkeeping; ``transport="source"``
+generates flat Python per route at elaboration, with the layout constants
+inlined as literals, pre-resolved endpoint stores, pre-computed credit
+arithmetic and batch FIFO draining
 (:func:`~repro.core.pycodegen.generate_transport_pump` /
 :func:`~repro.core.pycodegen.generate_transport_delivery`), observationally
-identical to both.  By default the transport backend follows the
+identical to the reference.  By default the transport backend follows the
 rule-execution backend.
 """
 
@@ -54,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.compile import compile_transport_delivery, compile_transport_pump
 from repro.core.domains import HW, SW, Domain, effective_module_domain
 from repro.core.pycodegen import (
     VALID_BACKENDS,
@@ -224,7 +220,7 @@ def _pump_routes_interp(routes, now: float, occupancy_of=None) -> bool:
 
     Per-synchronizer bookkeeping, marshaling and draining one element at a
     time through the plain marshal functions (the semantic oracle the
-    compiled closures' layout-compiled encoders are tested against).
+    generated pumps' layout-compiled encoders are tested against).
     Shared by the whole-fabric lockstep path and the per-group sub-fabrics,
     which pass their projected route subsets.  ``occupancy_of`` replaces
     the consumer-endpoint occupancy read, as in the lowered pumps (a
@@ -327,7 +323,7 @@ class _GroupFabric:
             if fabric.engine_kinds[d.name] == "sw"
         ]
         # Producer-side routes in cut order (both endpoints of a route lie
-        # in one group by construction), plus their compiled pump closures.
+        # in one group by construction), plus their generated pumps.
         picks = [
             j
             for j, route in enumerate(fabric._routes)
@@ -725,31 +721,6 @@ class CosimFabric:
                 )
                 for i, (direction, target, sw_target) in enumerate(self._delivery_routes)
             ]
-        elif transport == "compiled":
-            self._pump_fns = [
-                compile_transport_pump(
-                    sync.data,
-                    sync.depth,
-                    producer_store,
-                    consumer_store,
-                    vc,
-                    direction,
-                    producer_engine.locked_registers,
-                    producer_engine.charge_driver if sw_producer else None,
-                )
-                for sync, vc, producer_engine, producer_store, consumer_store, direction, sw_producer in self._routes
-            ]
-            vc_by_id = self.vcs.id_table
-            self._deliver_fns = [
-                compile_transport_delivery(
-                    direction,
-                    vc_by_id,
-                    target.deliver,
-                    deliver_batch=None if sw_target else target.deliver_batch,
-                    charge_driver=target.charge_driver if sw_target else None,
-                )
-                for direction, target, sw_target in self._delivery_routes
-            ]
         else:
             self._pump_fns = None
             self._deliver_fns = None
@@ -941,8 +912,8 @@ class CosimFabric:
         """Rewind the fabric to a snapshot, preserving every object identity.
 
         Engines, stores, pool rings, stats objects and virtual channels are
-        mutated in place -- the compiled transport closures pre-bind them --
-        so a restored fabric re-runs requests through the exact closures the
+        mutated in place -- the generated transport functions pre-bind them --
+        so a restored fabric re-runs requests through the exact functions the
         elaboration built.
         """
         engines, directions, vcs, group_clocks, now, initials, observed = snap

@@ -22,7 +22,8 @@ from repro.core.module import Module, PrimitiveModule, Register
 from repro.core.semantics import EvalHooks
 
 #: AST nodes that cost one ALU operation when evaluated (all other nodes are
-#: structural and free); shared by the hooks below and the closure compiler.
+#: structural and free).  The source tier's hooked and counting modes charge
+#: exactly these node classes too (``core/pycodegen.py``).
 COSTED_NODES = (BinOp, UnOp, Mux, FieldSelect)
 
 
@@ -73,7 +74,7 @@ class SwCostAccumulator(EvalHooks):
 
     One accumulator is used per rule attempt; the engine reads
     :attr:`cpu_cycles` afterwards and decides what to add for shadowing,
-    commit or rollback based on the rule's compiled form.
+    commit or rollback based on the rule's optimised form.
     """
 
     def __init__(self, params: SwCostParams):

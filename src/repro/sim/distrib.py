@@ -18,7 +18,7 @@ group may run "in a different process".  This module takes that literally:
   the generated transactors speak: the producer's transport pump runs
   unmodified, in the member's own transport tier (its credit window
   reads the consumer's published occupancy instead of the in-process
-  endpoint -- the ``occupancy_of`` hook every tier's pump takes, e.g.
+  endpoint -- the ``occupancy_of`` hook both tiers' pumps take, e.g.
   :func:`repro.core.pycodegen.generate_transport_pump`),
   its link replica's :class:`~repro.platform.channel.MessagePool` fills
   with ``MessageLayout``-packed words, and a *carrier* moves each framed
@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.compile import compile_transport_pump
 from repro.core.errors import SimulationError
 from repro.core.pycodegen import generate_transport_pump
 from repro.platform.marshal import unframe_header
@@ -667,28 +666,23 @@ def _run_lockstep_member(
         elif src in member_names:
             r = cell_of_cut[j]
             occ_fn = lambda u=u, k=plan.occupancy_slot(r): u[k]  # noqa: E731
-            pump_args = (
-                sync.data,
-                sync.depth,
-                pstore,
-                cstore,
-                vc,
-                direction,
-                peng.locked_registers,
-                peng.charge_driver if sw_prod else None,
-            )
-            if not lowered:
-                pump = functools.partial(
-                    _pump_routes_interp, (route,), occupancy_of=occ_fn
-                )
-            elif fabric.transport == "source":
+            if lowered:
                 pump = generate_transport_pump(
-                    *pump_args,
+                    sync.data,
+                    sync.depth,
+                    pstore,
+                    cstore,
+                    vc,
+                    direction,
+                    peng.locked_registers,
+                    peng.charge_driver if sw_prod else None,
                     occupancy_of=occ_fn,
                     name=f"{fabric.design.name}.route{j}.remote",
                 )
             else:
-                pump = compile_transport_pump(*pump_args, occupancy_of=occ_fn)
+                pump = functools.partial(
+                    _pump_routes_interp, (route,), occupancy_of=occ_fn
+                )
             pump_fns.append(pump)
             out_routes.append((vc, plan.delivered_slot(r)))
         elif dst in member_names:
@@ -1228,7 +1222,7 @@ def run_distributed(
     kwargs: Optional[Dict[str, Any]] = None,
     *,
     name: Optional[str] = None,
-    backend: str = "compiled",
+    backend: str = "source",
     transport: Optional[str] = None,
     engine_kinds: Optional[Dict[str, str]] = None,
     fabric_kind: str = "fabric",
@@ -1280,7 +1274,7 @@ def run_distributed(
             done = getattr(workload, done_attr)
         if parent is None:
             # The parent never executes a rule: interp elaboration skips the
-            # closure compilation each worker pays for its own run.
+            # source generation each worker pays for its own run.
             parent = _build_fabric(workload, fabric_kind, "interp", "interp", engine_kinds)
     base_name = name or parent.design.name
     n_groups = parent.group_count

@@ -74,7 +74,7 @@ class PoolTask:
     builder: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "compiled"
+    backend: str = "source"
     transport: Optional[str] = None
     engine_kinds: Optional[Dict[str, str]] = None
     max_cycles: float = 500_000_000.0

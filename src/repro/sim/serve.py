@@ -1,7 +1,7 @@
 """Persistent fabric serving: elaborate once, stream requests through it.
 
 Every entry point before this layer paid full elaboration -- partitioning,
-closure compilation, layout compilation, topology wiring -- per run and
+source generation, layout compilation, topology wiring -- per run and
 threw the fabric away.  The paper's own framing is the opposite: the
 expensive artifact is the *interface* (generated once per partitioning),
 not the *message*, and the same interfaces carry all traffic.  A
@@ -123,7 +123,7 @@ class FabricServer:
         args: Tuple[Any, ...] = (),
         kwargs: Optional[Dict[str, Any]] = None,
         *,
-        backend: str = "compiled",
+        backend: str = "source",
         transport: Optional[str] = None,
         engine_kinds: Optional[Dict[str, str]] = None,
         fabric_kind: str = "auto",

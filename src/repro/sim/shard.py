@@ -63,7 +63,7 @@ class SweepTask:
     builder: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "compiled"
+    backend: str = "source"
     transport: Optional[str] = None
     engine_kinds: Optional[Dict[str, str]] = None
     max_cycles: float = 500_000_000.0
@@ -244,7 +244,7 @@ class GroupTask:
     builder: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "compiled"
+    backend: str = "source"
     transport: Optional[str] = None
     engine_kinds: Optional[Dict[str, str]] = None
     group_index: int = 0
@@ -343,7 +343,7 @@ def run_grouped(
     kwargs: Optional[Dict[str, Any]] = None,
     *,
     name: Optional[str] = None,
-    backend: str = "compiled",
+    backend: str = "source",
     transport: Optional[str] = None,
     engine_kinds: Optional[Dict[str, str]] = None,
     processes: Optional[int] = None,
@@ -365,7 +365,7 @@ def run_grouped(
     workload = builder(*args, **kwargs)
     # The parent fabric never executes a rule: it only counts groups and
     # re-evaluates the done predicate over reported finals, so build it on
-    # the interpreted backend and skip the whole-design closure compilation
+    # the interpreted backend and skip the whole-design source generation
     # the workers will each pay for their own runs.
     fabric = CosimFabric(
         workload.design,

@@ -3,7 +3,7 @@
 Models the single-threaded C++ implementation the BCL compiler generates
 (Sections 6.2 and 6.3): a scheduler repeatedly picks a rule, evaluates it
 against the (possibly shadowed) program state, and either commits or rolls
-back.  The engine executes the *compiled* form of each rule
+back.  The engine executes the *optimised* form of each rule
 (:class:`~repro.core.optimize.CompiledRule`), so every optimisation switch --
 guard lifting, method inlining / try-catch avoidance, sequentialisation,
 partial shadowing -- changes both what is executed and what it costs, which
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.compile import compiled_rule_exec
 from repro.core.errors import GuardFail
 from repro.core.module import Register, Rule
 from repro.core.optimize import CompiledRule, OptimizationConfig, compile_rule
@@ -42,14 +41,13 @@ class SwEngine:
 
     ``backend`` selects how a rule attempt is evaluated: ``"interp"`` walks
     the optimised rule's guard/body ASTs through the tree-walking
-    :class:`~repro.core.semantics.Evaluator`; ``"compiled"`` calls their
-    closure-compiled forms (:mod:`repro.core.compile`); ``"source"``
-    calls flat generated-Python attempt functions and replaces ``step``
-    with a fused generated superstep (:mod:`repro.core.pycodegen`).  All
-    charge identical CPU-cycle costs.  ``None`` resolves to
+    :class:`~repro.core.semantics.Evaluator`; ``"source"`` calls flat
+    generated-Python attempt functions and replaces ``step`` with a fused
+    generated superstep (:mod:`repro.core.pycodegen`).  Both charge
+    identical CPU-cycle costs.  ``None`` resolves to
     :func:`~repro.core.pycodegen.default_rule_backend`.
 
-    The compiled backend additionally uses dirty-set scheduling: a rule
+    The source backend additionally uses dirty-set scheduling: a rule
     whose attempt failed is skipped (not re-evaluated) until a register in
     its read set is written.  The cost model still charges the skipped
     attempt -- the scheduler of the generated C++ really would re-run the
@@ -77,8 +75,7 @@ class SwEngine:
         self.name = name
         self.rules = list(rules)
         self.backend = backend
-        self._use_dirty = backend != "interp"
-        if self._use_dirty:
+        if backend == "source":
             self._wakeup: Optional[RuleWakeup] = RuleWakeup(self.rules)
             self.store = self._wakeup.wrap_store(store)
         else:
@@ -88,20 +85,10 @@ class SwEngine:
         self.config = config
         self.schedule = SwSchedule(self.rules)
         self.evaluator = Evaluator(max_loop_iterations=max_loop_iterations)
-        self.compiled: Dict[Rule, CompiledRule] = {
+        #: rule -> its optimised form (lifted guard, residual body, shadowing).
+        self.optimized: Dict[Rule, CompiledRule] = {
             rule: compile_rule(rule, config, all_registers) for rule in self.rules
         }
-        #: rule -> (guard_fn, body_fn) counting closures (compiled backend).
-        self._count_fns = (
-            {
-                rule: compiled_rule_exec(cr, max_loop_iterations).counting_fns(
-                    platform.sw_costs
-                )
-                for rule, cr in self.compiled.items()
-            }
-            if backend == "compiled"
-            else {}
-        )
         #: CPU cost of each rule's most recent failed attempt (valid while
         #: the rule sleeps -- its read set is untouched, so the cost is too).
         self._last_fail_cost: Dict[Rule, float] = {}
@@ -126,7 +113,7 @@ class SwEngine:
         if backend == "source":
             self._attempt_fns, self._gen = generate_counting_attempts(
                 self.rules,
-                self.compiled,
+                self.optimized,
                 platform.sw_costs,
                 config,
                 name,
@@ -262,7 +249,12 @@ class SwEngine:
         return None
 
     def step(self, now: float) -> bool:
-        """Advance the software engine at time ``now``.  Returns True on progress."""
+        """Advance the software engine at time ``now``.  Returns True on progress.
+
+        This is the ``interp`` step: an exhaustive scan that re-attempts
+        every rule.  The ``source`` backend replaces it with the generated
+        superstep, which skips sleeping rules.
+        """
         if not self.rules:
             return False
         if self.is_busy(now):
@@ -277,25 +269,8 @@ class SwEngine:
 
         self._flush_pending_deliveries()
 
-        use_dirty = self._use_dirty
-        sleeping = index_of = None
-        if use_dirty:
-            if self._wakeup.all_asleep:
-                # Every rule is known guard-disabled: the scan would fail
-                # across the board.  Count the failures without iterating.
-                self.guard_failures += len(self.rules)
-                return progress
-            sleeping = self._wakeup.sleeping
-            index_of = self._wakeup.index_of
-
         wasted_this_scan = 0.0
         for rule in self.schedule.candidates(self._last_fired):
-            if use_dirty and sleeping[index_of[rule]]:
-                # Guaranteed guard failure (read set untouched since the last
-                # real attempt); charge the recorded cost without evaluating.
-                wasted_this_scan += self._last_fail_cost[rule]
-                self.guard_failures += 1
-                continue
             cpu_cost, fired, updates = self._attempt(rule)
             if fired:
                 total_cpu = cpu_cost + wasted_this_scan
@@ -311,10 +286,6 @@ class SwEngine:
                 return True
             # Failed attempt: its cost is wasted work, charged to whatever
             # fires next in this scan (the scheduler really does spend it).
-            # The rule sleeps until something it reads is written.
-            if use_dirty:
-                self._wakeup.sleep_index(index_of[rule])
-                self._last_fail_cost[rule] = cpu_cost
             wasted_this_scan += cpu_cost
             self.guard_failures += 1
         # Nothing can fire: the partition is blocked waiting for input.  The
@@ -327,37 +298,21 @@ class SwEngine:
     def _attempt(self, rule: Rule) -> Tuple[float, bool, Dict[Register, Any]]:
         """Attempt one rule; returns ``(cpu_cost, fired, updates)``.
 
-        The compiled backend runs the closure-compiled guard/body with
-        cost-counting cells; the interp backend walks the ASTs under a
-        :class:`SwCostAccumulator`.  Both charge identical cycles.
+        Walks the optimised guard/body ASTs under a :class:`SwCostAccumulator`;
+        the generated attempt functions charge identical cycles.
         """
         params = self.platform.sw_costs
-        cr = self.compiled[rule]
+        cr = self.optimized[rule]
         read = self.store.__getitem__
-        if self.backend == "source":
-            cost, updates = self._attempt_fns[self._wakeup.index_of[rule]](read)
-            if updates is None:
-                return cost, False, {}
-            return cost, True, updates
         cost = float(params.rule_attempt_overhead)
-        count_fns = self._count_fns.get(rule)
 
         # 1. Top-level (lifted) guard check.
-        if count_fns is not None:
-            guard_fn, body_fn = count_fns
-            cell = [0]
-            try:
-                guard_ok = bool(guard_fn((), read, cell))
-            except GuardFail:
-                guard_ok = False
-            cost += cell[0]
-        else:
-            acc = SwCostAccumulator(params)
-            try:
-                guard_ok = bool(self.evaluator.eval_expr(cr.guard, {}, read, acc))
-            except GuardFail:
-                guard_ok = False
-            cost += acc.cpu_cycles
+        acc = SwCostAccumulator(params)
+        try:
+            guard_ok = bool(self.evaluator.eval_expr(cr.guard, {}, read, acc))
+        except GuardFail:
+            guard_ok = False
+        cost += acc.cpu_cycles
         if not guard_ok:
             return cost, False, {}
 
@@ -372,26 +327,15 @@ class SwEngine:
         cost += setup
 
         # 3. Execute the residual body.
-        if count_fns is not None:
-            body_cell = [0]
-            try:
-                updates = body_fn((), read, body_cell)
-            except GuardFail:
-                cost += body_cell[0]
-                cost += params.rollback_base
-                cost += len(cr.shadow_registers) * params.rollback_per_register
-                return cost, False, {}
-            cost += body_cell[0]
-        else:
-            body_acc = SwCostAccumulator(params)
-            try:
-                updates = self.evaluator.exec_action(cr.body, {}, read, body_acc)
-            except GuardFail:
-                cost += body_acc.cpu_cycles
-                cost += params.rollback_base
-                cost += len(cr.shadow_registers) * params.rollback_per_register
-                return cost, False, {}
+        body_acc = SwCostAccumulator(params)
+        try:
+            updates = self.evaluator.exec_action(cr.body, {}, read, body_acc)
+        except GuardFail:
             cost += body_acc.cpu_cycles
+            cost += params.rollback_base
+            cost += len(cr.shadow_registers) * params.rollback_per_register
+            return cost, False, {}
+        cost += body_acc.cpu_cycles
 
         # 4. Commit.
         if cr.can_fail:

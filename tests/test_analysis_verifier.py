@@ -46,7 +46,7 @@ class TestCleanPass:
     @pytest.mark.parametrize("name", ["vorbis_B", "vorbis_G", "raytracer_C"])
     def test_shipped_fabric_audits_clean(self, name):
         workload = workload_by_name(name).build()
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         assert audit_fabric(fabric) == []
 
     def test_summary_reports_totals(self):
@@ -124,7 +124,7 @@ class TestStrictMode:
 
     def test_fabric_verify_accepts_clean_design(self):
         workload = workload_by_name("vorbis_B").build()
-        fabric = CosimFabric(workload.design, backend="compiled", verify=True)
+        fabric = CosimFabric(workload.design, backend="source", verify=True)
         assert fabric.partitioning.cut
 
 

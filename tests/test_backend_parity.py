@@ -1,13 +1,15 @@
-"""Differential tests: the fast rule backends against the tree walker.
+"""Differential tests: the source rule backend against the tree walker.
 
-The tree-walking :class:`~repro.core.semantics.Evaluator` is the semantic
-reference oracle; the closure-compiled backend (:mod:`repro.core.compile`)
-and the source-lowered backend (:mod:`repro.core.pycodegen`), each paired
-with dirty-set scheduling (:class:`~repro.core.scheduler.RuleWakeup`), must
-be *observationally equivalent*: identical final stores, identical fire
-counts, identical guard-failure counts and identical cost statistics -- on
-the reference simulator under every scheduling policy, and on the full
-HW/SW co-simulation of both applications.
+The tree-walking :class:`~repro.core.semantics.Evaluator` (``interp``) is
+the semantic reference oracle; the source-lowered backend
+(:mod:`repro.core.pycodegen`), paired with dirty-set scheduling
+(:class:`~repro.core.scheduler.RuleWakeup`), must be *observationally
+equivalent*: identical final stores, identical fire counts, identical
+guard-failure counts and identical cost statistics -- on the reference
+simulator under every scheduling policy, and on the full HW/SW
+co-simulation of both applications.  The last group pins backend
+selection: ``source`` is the default, and an unknown backend name is an
+error wherever one is accepted.
 """
 
 from dataclasses import asdict
@@ -28,13 +30,17 @@ from repro.core.expr import (
     WhenE,
 )
 from repro.core.interpreter import Simulator
+from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend
 from repro.core.module import Design, Module
 from repro.core.optimize import OptimizationConfig
 from repro.core.primitives import Fifo, RegFile
+from repro.core.semantics import SimulationError
 from repro.core.types import BoolT, UIntT
 from repro.platform.platform import Platform
-from repro.sim.cosim import Cosimulator
+from repro.sim.cosim import CosimFabric, Cosimulator
 from repro.sim.costmodel import SwCostAccumulator
+from repro.sim.hwsim import HwEngine
+from repro.sim.swsim import SwEngine
 
 
 # --------------------------------------------------------------------------
@@ -151,9 +157,8 @@ def build_kitchen_sink():
 
 CORPUS = [build_fifo_pipeline, build_kitchen_sink]
 
-#: The full rule-execution backend matrix; ``interp`` is the oracle.
-BACKENDS = ("interp", "compiled", "source")
-FAST_BACKENDS = ("compiled", "source")
+#: The rule-execution backends; ``interp`` is the oracle.
+BACKENDS = ("interp", "source")
 
 
 def final_state(sim: Simulator):
@@ -175,8 +180,7 @@ class TestSimulatorEquivalence:
             sim = Simulator(builder(), policy=policy, seed=1234, backend=backend)
             sim.run(500)
             sims[backend] = final_state(sim)
-        for backend in FAST_BACKENDS:
-            assert sims[backend] == sims["interp"], backend
+        assert sims["source"] == sims["interp"]
 
     @pytest.mark.parametrize("seed", [0, 7, 99, 1234])
     def test_randomized_schedules_agree(self, seed):
@@ -186,8 +190,7 @@ class TestSimulatorEquivalence:
             sim = Simulator(build_kitchen_sink(), policy="random", seed=seed, backend=backend)
             sim.run(500)
             results[backend] = final_state(sim)
-        for backend in FAST_BACKENDS:
-            assert results[backend] == results["interp"], backend
+        assert results["source"] == results["interp"]
 
     def test_quiescence_and_wakeup(self):
         """Dirty-set sleeping must not miss a test-bench poke."""
@@ -207,7 +210,7 @@ class TestSimulatorEquivalence:
             assert sim.read(n) == 1
 
     def test_cost_hooks_identical_cpu_cycles(self):
-        """Simulator-with-hooks: compiled hooks charge the same cycles."""
+        """Simulator-with-hooks: generated hooks charge the same cycles."""
         params = Platform.ml507().sw_costs
         totals = {}
         for backend in BACKENDS:
@@ -215,8 +218,23 @@ class TestSimulatorEquivalence:
             sim = Simulator(build_kitchen_sink(), hooks=acc, backend=backend)
             sim.run(200)
             totals[backend] = (acc.cpu_cycles, acc.kernel_cycles, sim.firings)
-        for backend in FAST_BACKENDS:
-            assert totals[backend] == totals["interp"], backend
+        assert totals["source"] == totals["interp"]
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["fast", "hooked"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_missing_register_raises_the_oracle_error(self, backend, hooked):
+        """A read of a register outside the store is the same SimulationError
+        on the generated fast and hooked paths as in ``try_rule``."""
+        other = Module("other")
+        ghost = other.add_register("ghost", UIntT(32), 0)
+        top = Module("top")
+        n = top.add_register("n", UIntT(32), 0)
+        top.add_rule("copy", n.write(BinOp("+", RegRead(ghost), Const(1))))
+        hooks = SwCostAccumulator(Platform.ml507().sw_costs) if hooked else None
+        sim = Simulator(Design(top), backend=backend, hooks=hooks)
+        message = r"^register other\.ghost is not part of this store$"
+        with pytest.raises(SimulationError, match=message):
+            sim.run(3)
 
 
 # --------------------------------------------------------------------------
@@ -239,8 +257,7 @@ class TestCosimEquivalence:
 
         workload = vp.build_partition(letter, VorbisParams(n_frames=4))
         results = {b: _cosim_result(workload, b) for b in BACKENDS}
-        for backend in FAST_BACKENDS:
-            assert asdict(results[backend]) == asdict(results["interp"]), backend
+        assert asdict(results["source"]) == asdict(results["interp"])
 
     @pytest.mark.parametrize("letter", ["B", "D"])
     def test_raytracer_partitions_bitwise_identical(self, letter):
@@ -251,8 +268,7 @@ class TestCosimEquivalence:
             letter, RayTracerParams(n_triangles=24, image_width=3, image_height=3)
         )
         results = {b: _cosim_result(workload, b) for b in BACKENDS}
-        for backend in FAST_BACKENDS:
-            assert asdict(results[backend]) == asdict(results["interp"]), backend
+        assert asdict(results["source"]) == asdict(results["interp"])
 
     @pytest.mark.parametrize(
         "config",
@@ -266,8 +282,7 @@ class TestCosimEquivalence:
 
         workload = vp.build_partition("F", VorbisParams(n_frames=3))
         results = {b: _cosim_result(workload, b, config) for b in BACKENDS}
-        for backend in FAST_BACKENDS:
-            assert asdict(results[backend]) == asdict(results["interp"]), backend
+        assert asdict(results["source"]) == asdict(results["interp"])
 
     def test_final_stores_identical(self):
         """Beyond statistics: the committed architectural state must match."""
@@ -282,5 +297,60 @@ class TestCosimEquivalence:
             stores[backend] = {
                 reg.full_name: cosim.read(reg) for reg in workload.design.all_registers()
             }
-        for backend in FAST_BACKENDS:
-            assert stores[backend] == stores["interp"], backend
+        assert stores["source"] == stores["interp"]
+
+
+# --------------------------------------------------------------------------
+# backend selection
+# --------------------------------------------------------------------------
+
+
+class TestBackendSelection:
+    def test_valid_backends_are_the_oracle_and_source(self):
+        assert VALID_BACKENDS == ("interp", "source")
+
+    @pytest.mark.parametrize("value", [None, "", "  "])
+    def test_unset_or_empty_env_means_source(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_RULE_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_RULE_BACKEND", value)
+        assert default_rule_backend() == "source"
+        assert Simulator(build_fifo_pipeline()).backend == "source"
+
+    @pytest.mark.parametrize("value", ["interp", "source", " Interp "])
+    def test_env_selects_a_valid_backend(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_RULE_BACKEND", value)
+        assert default_rule_backend() == value.strip().lower()
+
+    @pytest.mark.parametrize("value", ["compiled", "fast"])
+    def test_unknown_env_value_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_RULE_BACKEND", value)
+        with pytest.raises(ValueError, match=f"'{value}'.*interp, source"):
+            default_rule_backend()
+        # Every engine that falls back on the default refuses to start.
+        with pytest.raises(ValueError, match=f"'{value}'"):
+            Simulator(build_fifo_pipeline())
+
+    def _engines(self, **kwargs):
+        design = build_fifo_pipeline()
+        rules = list(design.all_rules())
+        return {
+            "Simulator": lambda: Simulator(design, **kwargs),
+            "SwEngine": lambda: SwEngine(
+                rules, design.initial_store(), Platform.ml507(), **kwargs
+            ),
+            "HwEngine": lambda: HwEngine(rules, design.initial_store(), **kwargs),
+            "CosimFabric": lambda: CosimFabric(design, **kwargs),
+        }
+
+    @pytest.mark.parametrize("engine", ["Simulator", "SwEngine", "HwEngine", "CosimFabric"])
+    def test_retired_compiled_backend_raises(self, engine):
+        with pytest.raises(ValueError, match="'compiled'"):
+            self._engines(backend="compiled")[engine]()
+
+    def test_retired_compiled_transport_raises(self):
+        with pytest.raises(ValueError, match="'compiled'"):
+            CosimFabric(build_fifo_pipeline(), backend="source", transport="compiled")
+        with pytest.raises(ValueError, match="'compiled'"):
+            Cosimulator(build_fifo_pipeline(), transport="compiled")

@@ -98,15 +98,16 @@ def _snapshot(workload, backend, transport=None):
 
 
 class TestGoldenDifferential:
-    @pytest.mark.parametrize("backend", ["interp", "compiled", "source"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     @pytest.mark.parametrize("letter", ["A", "B", "C", "D", "E", "F"])
     def test_vorbis_matches_prerefactor(self, letter, backend):
-        # The golden file predates the source tier; source must reproduce
-        # the same bits the compiled backend was recorded with.
+        # The golden file predates the source tier: its "compiled" entries
+        # were recorded by the since-retired closure tier (and equal the
+        # "interp" entries key for key); source must reproduce those bits.
         golden = _golden()[f"vorbis_{letter}"]["compiled" if backend == "source" else backend]
         assert _snapshot(_vorbis(letter), backend) == golden
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled", "source"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     @pytest.mark.parametrize("letter", ["A", "B", "C", "D"])
     def test_raytracer_matches_prerefactor(self, letter, backend):
         golden = _golden()[f"raytracer_{letter}"]["compiled" if backend == "source" else backend]
@@ -114,14 +115,28 @@ class TestGoldenDifferential:
 
     @pytest.mark.parametrize("letter", ["B", "C"])
     def test_transport_backends_bitwise_identical(self, letter):
-        """Compiled (batch-drain) and source-lowered transports == the
-        interpreted reference transport, independently of the rule backend."""
-        interp_t = _snapshot(_vorbis(letter), "compiled", transport="interp")
-        compiled_t = _snapshot(_vorbis(letter), "compiled", transport="compiled")
-        source_t = _snapshot(_vorbis(letter), "compiled", transport="source")
-        assert interp_t == compiled_t
+        """The source-lowered (batch-drain) transport == the interpreted
+        reference transport, independently of the rule backend."""
+        interp_t = _snapshot(_vorbis(letter), "source", transport="interp")
+        source_t = _snapshot(_vorbis(letter), "source", transport="source")
         assert interp_t == source_t
         assert interp_t == _golden()[f"vorbis_{letter}"]["compiled"]
+
+    @pytest.mark.parametrize(
+        "backend, transport", [("interp", "source"), ("source", "interp")]
+    )
+    @pytest.mark.parametrize(
+        "workload",
+        [f"vorbis_{x}" for x in "ABCDEF"] + [f"raytracer_{x}" for x in "ABCD"],
+    )
+    def test_cross_tier_pairing_matches_golden(self, workload, backend, transport):
+        """Rule and transport tiers are independent: either mixed pairing
+        reproduces the golden bits on every fig13 workload."""
+        app, letter = workload.split("_")
+        build = _vorbis if app == "vorbis" else _raytracer
+        golden = _golden()[workload]
+        assert golden["interp"] == golden["compiled"]
+        assert _snapshot(build(letter), backend, transport=transport) == golden["interp"]
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +199,7 @@ def build_three_domain_pipeline(n_items=8, depth=2):
 
 
 class TestThreeDomainFabric:
-    def _run(self, backend="compiled", transport=None, topology=None, platform=None):
+    def _run(self, backend="source", transport=None, topology=None, platform=None):
         design, regs, n = build_three_domain_pipeline()
         fabric = CosimFabric(
             design, backend=backend, transport=transport, topology=topology, platform=platform
@@ -228,31 +243,29 @@ class TestThreeDomainFabric:
 
     def test_backends_bitwise_identical(self):
         results = {}
-        for backend in ("interp", "compiled", "source"):
+        for backend in ("interp", "source"):
             _, _, result, _ = self._run(backend=backend)
             results[backend] = asdict(result)
-        assert results["compiled"] == results["interp"]
         assert results["source"] == results["interp"]
 
     def test_transport_modes_bitwise_identical(self):
         results = {}
-        for transport in ("interp", "compiled", "source"):
-            _, _, result, _ = self._run(backend="compiled", transport=transport)
+        for transport in ("interp", "source"):
+            _, _, result, _ = self._run(backend="source", transport=transport)
             results[transport] = asdict(result)
-        assert results["compiled"] == results["interp"]
         assert results["source"] == results["interp"]
 
     def test_per_link_parameters_shape_timing(self):
         """A slow HW_A->HW_B lane lengthens the run without changing results."""
         design, regs, n = build_three_domain_pipeline()
-        fast = CosimFabric(design, backend="compiled")
+        fast = CosimFabric(design, backend="source")
         r_fast = fast.run(lambda c: c.read(regs["ndone"]) >= n)
 
         design2, regs2, _ = build_three_domain_pipeline()
         slow_lane = ChannelParams(one_way_latency_cycles=2000)
         slow = CosimFabric(
             design2,
-            backend="compiled",
+            backend="source",
             link_params={("HW_STAGE_A", "HW_STAGE_B"): slow_lane},
         )
         r_slow = slow.run(lambda c: c.read(regs2["ndone"]) >= n)
@@ -270,7 +283,7 @@ class TestThreeDomainFabric:
     def test_deep_fifo_batch_drain(self):
         """A deep synchronizer drains in batches without losing order/credits."""
         design, regs, n = build_three_domain_pipeline(n_items=64, depth=64)
-        fabric = CosimFabric(design, backend="compiled")
+        fabric = CosimFabric(design, backend="source")
         result = fabric.run(lambda c: c.read(regs["ndone"]) >= n)
         assert result.completed
         assert fabric.read(regs["acc"]) == sum(i * i + 3 for i in range(n))
@@ -296,7 +309,7 @@ class TestThreeDomainFabric:
             "consume",
             par(total.write(BinOp("+", RegRead(total), q.value("first"))), q.call("deq")),
         )
-        fabric = CosimFabric(Design(top, "dsp"), engine_kinds={"DSP": "hw"}, backend="compiled")
+        fabric = CosimFabric(Design(top, "dsp"), engine_kinds={"DSP": "hw"}, backend="source")
         result = fabric.run(lambda c: c.read(total) >= 3)
         assert result.completed
         assert result.hw_firings == 3
@@ -310,12 +323,12 @@ class TestMultiDomainVorbis:
         from repro.apps.vorbis import partitions as vp
 
         multi = vp.build_multi_partition(letter, _vorbis("F").params)
-        fabric = CosimFabric(multi.design, backend="compiled")
+        fabric = CosimFabric(multi.design, backend="source")
         result = fabric.run(multi.cosim_done, max_cycles=500_000_000)
         assert result.completed
 
         ref = _vorbis("F")
-        cosim = Cosimulator(ref.design, backend="compiled")
+        cosim = Cosimulator(ref.design, backend="source")
         cosim.run(ref.cosim_done, max_cycles=500_000_000)
         assert fabric.read(multi.checksum) == cosim.read(ref.checksum)
 
@@ -324,11 +337,10 @@ class TestMultiDomainVorbis:
         from repro.apps.vorbis.params import VorbisParams
 
         results = {}
-        for backend in ("interp", "compiled", "source"):
+        for backend in ("interp", "source"):
             wl = vp.build_multi_partition("G", VorbisParams(n_frames=4))
             fabric = CosimFabric(wl.design, backend=backend)
             results[backend] = asdict(fabric.run(wl.cosim_done, max_cycles=500_000_000))
-        assert results["compiled"] == results["interp"]
         assert results["source"] == results["interp"]
 
     def test_vorbis_g_routes(self):
@@ -336,7 +348,7 @@ class TestMultiDomainVorbis:
         from repro.apps.vorbis.params import VorbisParams
 
         wl = vp.build_multi_partition("G", VorbisParams(n_frames=2))
-        fabric = CosimFabric(wl.design, backend="compiled")
+        fabric = CosimFabric(wl.design, backend="source")
         pairs = fabric.partitioning.route_pairs()
         assert ("SW", "HW_IMDCT") in pairs
         assert ("HW_IMDCT", "HW_WIN") in pairs
@@ -391,7 +403,7 @@ class TestSynchronizerSpecialisation:
         design, sync, acc = self._poly_design()
         specialize_synchronizers(design, {"a": SW})
         substitute_domains(design, {"a": SW})
-        cosim = Cosimulator(design, backend="compiled")
+        cosim = Cosimulator(design, backend="source")
         result = cosim.run(lambda c: c.read(acc) >= sum(range(5)))
         assert result.completed
         assert result.channel_messages == 0
@@ -404,7 +416,7 @@ class TestSynchronizerSpecialisation:
         remaining = specialize_synchronizers(design, {"a": HW})
         substitute_domains(design, {"a": HW})
         assert remaining == [sync]
-        cosim = Cosimulator(design, backend="compiled")
+        cosim = Cosimulator(design, backend="source")
         result = cosim.run(lambda c: c.read(acc) >= sum(range(5)))
         assert result.completed
         assert result.channel_messages == 5

@@ -317,7 +317,7 @@ def _raytracer_snapshot(letter, kernel_backend, rule_backend, transport):
 
 
 class TestCosimBackendIndependence:
-    @pytest.mark.parametrize("rule_backend,transport", [("interp", "interp"), ("compiled", "compiled")])
+    @pytest.mark.parametrize("rule_backend,transport", [("interp", "interp"), ("source", "source")])
     @pytest.mark.parametrize("letter", ["B", "F"])
     def test_vorbis_results_identical_across_kernel_backends(
         self, letter, rule_backend, transport
@@ -329,7 +329,7 @@ class TestCosimBackendIndependence:
         for backend in BACKENDS[1:]:
             assert _vorbis_snapshot(letter, backend, rule_backend, transport) == want
 
-    @pytest.mark.parametrize("rule_backend,transport", [("interp", "interp"), ("compiled", "compiled")])
+    @pytest.mark.parametrize("rule_backend,transport", [("interp", "interp"), ("source", "source")])
     @pytest.mark.parametrize("letter", ["A", "C"])
     def test_raytracer_results_identical_across_kernel_backends(
         self, letter, rule_backend, transport
@@ -341,6 +341,6 @@ class TestCosimBackendIndependence:
 
     def test_vorbis_results_identical_with_and_without_cache(self):
         """Memoisation is invisible in the CosimResult, not just the audio."""
-        with_cache = _vorbis_snapshot("F", "python", "compiled", "compiled", cache=True)
-        without = _vorbis_snapshot("F", "python", "compiled", "compiled", cache=False)
+        with_cache = _vorbis_snapshot("F", "python", "source", "source", cache=True)
+        without = _vorbis_snapshot("F", "python", "source", "source", cache=False)
         assert with_cache == without

@@ -4,7 +4,8 @@ The generated modules are first-class debuggable artifacts: they can be
 dumped to disk (``REPRO_DUMP_SOURCE`` or :meth:`GeneratedModule.dump`),
 tracebacks through generated code show the real generated source lines
 (linecache registration), and generation is deterministic -- the same
-design elaborates to byte-identical source every time.
+design elaborates to byte-identical source every time.  A node the
+lowerer does not know is an ``ElaborationError`` when the engine is built.
 """
 
 import linecache
@@ -12,12 +13,18 @@ import traceback
 
 import pytest
 
-from repro.core.expr import Const, KernelCall
+from repro.core.errors import ElaborationError
+from repro.core.expr import Const, Expr, KernelCall, RegRead
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
+from repro.core.optimize import OptimizationConfig
 from repro.core.types import UIntT
+from repro.platform.platform import Platform
+from repro.sim.cosim import CosimFabric
+from repro.sim.hwsim import HwEngine
+from repro.sim.swsim import SwEngine
 
-from test_compiled_backend import build_fifo_pipeline, build_kitchen_sink
+from test_backend_parity import build_fifo_pipeline, build_kitchen_sink
 
 
 def _source_sim(builder=build_fifo_pipeline):
@@ -131,3 +138,52 @@ class TestDeterminism:
                 )
             sources.append(per_engine)
         assert sources[0] == sources[1]
+
+
+# --------------------------------------------------------------------------
+# nodes with no lowering
+# --------------------------------------------------------------------------
+
+
+class Foreign(Expr):
+    """An expression class defined outside the core grammar."""
+
+    _child_fields = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+
+def build_foreign_design():
+    top = Module("top")
+    out = top.add_register("out", UIntT(32), 0)
+    top.add_rule("alien", out.write(Foreign(RegRead(out))))
+    return Design(top, name="foreign")
+
+
+class TestUnlowerableNode:
+    MESSAGE = r"rule top\.alien: no Python lowering for node class Foreign"
+
+    def test_simulator_raises_at_construction(self):
+        with pytest.raises(ElaborationError, match=self.MESSAGE):
+            Simulator(build_foreign_design(), backend="source")
+
+    def test_engines_raise_at_construction(self):
+        # The software optimisations rewrite only the core grammar, so the
+        # software engines run the rule unoptimised.
+        design = build_foreign_design()
+        rules = list(design.all_rules())
+        none = OptimizationConfig.none()
+        with pytest.raises(ElaborationError, match=self.MESSAGE):
+            SwEngine(
+                rules, design.initial_store(), Platform.ml507(), none, backend="source"
+            )
+        with pytest.raises(ElaborationError, match=self.MESSAGE):
+            HwEngine(rules, design.initial_store(), backend="source")
+        with pytest.raises(ElaborationError, match=self.MESSAGE):
+            CosimFabric(build_foreign_design(), config=none, backend="source")
+
+    def test_interp_oracle_does_not_lower(self):
+        # The tree walker generates nothing, so building it succeeds; the
+        # node only fails once a rule is evaluated.
+        Simulator(build_foreign_design(), backend="interp")
